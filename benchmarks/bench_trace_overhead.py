@@ -115,7 +115,12 @@ def test_traced_remote_epoch_is_bit_identical(fixture):
         with RemoteSource(host, port) as src:
             rows_traced = _epoch(src, plugin, client_rec,
                                  batched_fetch=True)
+        served = server.stats.snapshot()
     assert rows_traced == rows_plain
+    # the compiled plan's fetch rode the batch plane: one READ_BATCH per
+    # group of 4 in each of the two epochs, and not one scalar READ
+    assert served["serve.read_batch"][0] == 2 * (N_SAMPLES // 4)
+    assert "serve.read" not in served
     client_spans = client_rec.spans()
     server_spans = server_rec.spans()
     rpc_ids = {s.trace_id for s in client_spans if s.name == "wire.rpc"}

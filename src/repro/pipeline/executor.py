@@ -1,11 +1,14 @@
 """Threaded prefetch executor.
 
 DALI's value is overlapping sample preparation with training compute; this
-executor reproduces that with worker threads pulling indices from a work
-queue and a bounded, *order-preserving* output buffer (determinism matters:
-the convergence experiments must be replayable bit-for-bit).  NumPy releases
-the GIL inside the heavy decode kernels, so threads genuinely overlap even
-on CPython.
+executor reproduces that with worker threads pulling *groups* of indices
+from a work queue and a bounded, *order-preserving* output buffer
+(determinism matters: the convergence experiments must be replayable
+bit-for-bit).  NumPy releases the GIL inside the heavy decode kernels, so
+threads genuinely overlap even on CPython.  The group size is the only
+thing that distinguishes scalar from batched fetch, and the worker count
+the only thing that distinguishes inline from threaded preparation — it is
+one loop either way.
 
 Failure isolation: a worker exception never wedges the output buffer — it
 is recorded at the failing item's position and surfaces to the consumer
@@ -19,6 +22,7 @@ when the generator closes.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import traceback as _tb
@@ -85,6 +89,12 @@ class FailedItem:
 class PrefetchExecutor:
     """Run a pipeline over an index sequence with prefetching workers.
 
+    One loop serves every mode: the epoch's indices are cut into *groups*
+    of ``fetch_batch_size`` consecutive positions, each group is prepared
+    by one :meth:`Pipeline.run_batch` call — inline, or on a worker
+    thread inside a bounded admission window — and one consumer delivers
+    the results item by item, in order, and keeps all the counters.
+
     Parameters
     ----------
     pipeline:
@@ -92,37 +102,32 @@ class PrefetchExecutor:
         thread-safe, which the provided ones are — decode creates fresh
         arrays per item).
     num_workers:
-        Worker threads.  ``0`` runs synchronously in the caller's thread
+        Worker threads.  ``0`` prepares each group in the caller's thread
         (useful for debugging and for the time-attribution runs, where
         overlap would muddy per-stage numbers).
     prefetch_depth:
-        Bound on completed-but-unconsumed items, limiting memory exactly
-        like DALI's queue depth.
+        Bound on prepared-but-unconsumed *groups*, limiting memory to
+        ``prefetch_depth * fetch_batch_size`` samples exactly like DALI's
+        queue depth.
     stats:
         Optional :class:`~repro.tune.stats.StatsRegistry` receiving
-        ``executor.items`` (count + per-item preparation seconds),
-        ``executor.failed`` and ``executor.wait`` (seconds the consumer
-        was blocked on the next in-order item — the starvation signal
-        the adaptive tuner acts on).  All updates happen on the consumer
-        thread, so the counters are exact with any worker count.
+        ``executor.groups`` (count = ``run_batch`` calls, total =
+        producer busy seconds), ``executor.items`` (count + each item's
+        share of its group's busy seconds), ``executor.failed`` and
+        ``executor.wait`` (seconds the consumer was blocked on the next
+        in-order group — the starvation signal the adaptive tuner acts
+        on; with ``num_workers=0`` the consumer *is* the producer, so all
+        preparation time counts as wait).  All updates happen on the
+        consumer thread, so the counters are exact with any worker count.
     fetch_batch_size:
-        Batch mode: with ``B > 1`` the work unit becomes a *group* of up
-        to ``B`` consecutive epoch indices processed by one
-        :meth:`Pipeline.run_batch` call — one batched fetch
-        (``read_batch_slots``: one wire round-trip / one seek pass per
-        group) and one vectorized multi-sample decode.  Items still come
-        back one by one, in order, with per-slot failures delivered
-        exactly like scalar-mode failures; ``prefetch_depth`` counts
-        *groups* in flight.  Results are bit-identical to scalar mode
-        by the batch plane's contract.
-    decode_processes:
-        With batch mode, ``> 0`` offloads each group's decode to a pool
-        of worker *processes* (escaping the GIL for decoders that hold
-        it).  The pool lives for one :meth:`run` call; the plugin and
-        blobs must pickle (ours do), simulated-GPU decodes stay
-        in-process, and any pool failure falls back to in-process
-        decode — batching and pooling can only change speed, never
-        results.
+        Group size.  ``1`` is scalar mode (``source.read`` +
+        ``plugin.decode`` per sample); with ``B > 1`` each group costs
+        one batched fetch (``read_batch_slots``: one wire round-trip /
+        one seek pass) and one vectorized multi-sample decode.  Per-slot
+        failures are delivered exactly like scalar-mode failures, and a
+        ``run_batch`` call that raises as a whole fails every slot of
+        that group only.  Results are bit-identical across group sizes by
+        the batch plane's contract.
     """
 
     def __init__(
@@ -132,7 +137,6 @@ class PrefetchExecutor:
         prefetch_depth: int = 4,
         stats: StatsRegistry | None = None,
         fetch_batch_size: int = 1,
-        decode_processes: int = 0,
     ) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
@@ -140,195 +144,78 @@ class PrefetchExecutor:
             raise ValueError("prefetch_depth must be >= 1")
         if fetch_batch_size < 1:
             raise ValueError("fetch_batch_size must be >= 1")
-        if decode_processes < 0:
-            raise ValueError("decode_processes must be >= 0")
         self.pipeline = pipeline
         self.num_workers = num_workers
         self.prefetch_depth = prefetch_depth
         self.stats = stats
         self.fetch_batch_size = fetch_batch_size
-        self.decode_processes = decode_processes
 
     def run(
         self, indices: Sequence[int], epoch: int = 0, on_error: str = "raise"
     ) -> Iterator[PipelineItem | FailedItem]:
         """Yield processed items in the order of ``indices``.
 
-        ``on_error="raise"`` (default) re-raises a worker exception at the
-        failing item's position with ``sample_index`` attached;
+        ``on_error="raise"`` (default) re-raises a sample's exception at
+        its position with ``sample_index`` attached;
         ``on_error="yield"`` delivers it as a :class:`FailedItem` and
         continues with the next index.
         """
         if on_error not in ("raise", "yield"):
             raise ValueError(f"on_error must be 'raise' or 'yield', got {on_error!r}")
-        if self.fetch_batch_size > 1:
-            yield from self._run_batched(list(indices), epoch, on_error)
-            return
-        st = self.stats
-        if self.num_workers == 0:
-            # synchronous: the consumer *is* the producer, so the whole
-            # preparation time counts as consumer wait (starvation 1.0 —
-            # which is what tells the adaptive controller to add workers)
-            s_items = st.stat("executor.items") if st is not None else None
-            s_wait = st.stat("executor.wait") if st is not None else None
-            s_failed = st.stat("executor.failed") if st is not None else None
-            for idx in indices:
-                t0 = perf_counter()
-                try:
-                    item = self.pipeline.run(idx, epoch)
-                except Exception as exc:
-                    if s_failed is not None:
-                        s_failed.add()
-                        s_wait.add(perf_counter() - t0)
-                    if on_error == "yield":
-                        yield FailedItem(index=idx, error=exc)
-                        continue
-                    exc.sample_index = idx  # type: ignore[attr-defined]
-                    raise
-                if s_items is not None:
-                    dt = perf_counter() - t0
-                    s_items.add(dt)
-                    s_wait.add(dt)
-                yield item
-            return
-        yield from self._run_threaded(list(indices), epoch, on_error)
-
-    def _run_batched(
-        self, indices: list[int], epoch: int, on_error: str
-    ) -> Iterator[PipelineItem | FailedItem]:
-        """Batch mode: groups of indices through ``Pipeline.run_batch``.
-
-        Same machinery as the scalar paths (order-preserving, per-item
-        failure delivery, consumer-side stats), but the producer-side
-        unit of work is a whole group: one batched fetch + one
-        vectorized decode per group.  The admission window counts
-        groups, so memory is bounded at
-        ``prefetch_depth * fetch_batch_size`` samples.
-        """
+        indices = list(indices)
         B = self.fetch_batch_size
         groups = [indices[i:i + B] for i in range(0, len(indices), B)]
-        pool = None
-        if self.decode_processes > 0:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=self.decode_processes)
-        st = self.stats
-        s_items = st.stat("executor.items") if st is not None else None
-        s_wait = st.stat("executor.wait") if st is not None else None
-        s_failed = st.stat("executor.failed") if st is not None else None
-        s_groups = st.stat("executor.groups") if st is not None else None
-
-        def consume(group, results, waited):
-            # deliver one group's results item by item, updating the
-            # same counters the scalar paths keep (per *item*, with the
-            # group's cost split evenly across its members)
-            share = waited / len(results) if results else 0.0
-            for idx, result in zip(group, results):
-                if isinstance(result, Exception):
-                    item = FailedItem(index=int(idx), error=result)
-                else:
-                    item = result
-                if isinstance(item, FailedItem):
-                    if s_failed is not None:
+        # uninstrumented runs count into a throwaway registry: one code path
+        st = self.stats if self.stats is not None else StatsRegistry()
+        s_groups = st.stat("executor.groups")
+        s_items = st.stat("executor.items")
+        s_wait = st.stat("executor.wait")
+        s_failed = st.stat("executor.failed")
+        with contextlib.closing(self._prepared(groups, epoch)) as prepared:
+            for group, (results, busy, waited) in zip(groups, prepared):
+                s_groups.add(busy)
+                if waited is not None:
+                    s_wait.add(waited)
+                share = busy / len(group)
+                for idx, result in zip(group, results):
+                    if isinstance(result, Exception):
                         s_failed.add()
-                    if on_error == "raise":
-                        exc = item.error
-                        exc.sample_index = item.index  # type: ignore[attr-defined]
-                        raise exc
-                elif s_items is not None:
-                    s_items.add(share)
-                yield item
+                        if on_error == "raise":
+                            result.sample_index = idx  # type: ignore[attr-defined]
+                            raise result
+                        result = FailedItem(index=idx, error=result)
+                    else:
+                        s_items.add(share)
+                    yield result
 
-        try:
-            if self.num_workers == 0:
-                for group in groups:
-                    t0 = perf_counter()
-                    results = self.pipeline.run_batch(
-                        group, epoch, decode_pool=pool
-                    )
-                    dt = perf_counter() - t0
-                    if s_groups is not None:
-                        s_groups.add(dt)
-                        s_wait.add(dt)
-                    yield from consume(group, results, dt)
-                return
+    def _prepared(self, groups: list[list[int]], epoch: int):
+        """Yield ``(results, busy_s, waited_s)`` per group, in order.
 
-            work: queue.Queue = queue.Queue()
-            done: dict[int, tuple[list, float]] = {}
-            done_lock = threading.Condition()
-            window = threading.Semaphore(self.prefetch_depth)
-            for pos, group in enumerate(groups):
-                work.put((pos, group))
-            for _ in range(self.num_workers):
-                work.put(_SENTINEL)
+        ``waited_s`` is how long the consumer was blocked on the group
+        (``None``: it was already there).  Workers may run at most
+        ``prefetch_depth`` groups ahead of the consumer.
+        """
 
-            def worker() -> None:
-                while True:
-                    window.acquire()
-                    task = work.get()
-                    if task is _SENTINEL:
-                        window.release()
-                        return
-                    pos, group = task
-                    t0 = perf_counter()
-                    try:
-                        results = self.pipeline.run_batch(
-                            group, epoch, decode_pool=pool
-                        )
-                    except Exception as exc:  # noqa: BLE001 — whole group
-                        results = [exc] * len(group)
-                    busy = perf_counter() - t0
-                    with done_lock:
-                        done[pos] = (results, busy)
-                        done_lock.notify_all()
-
-            threads = [
-                threading.Thread(target=worker, daemon=True)
-                for _ in range(self.num_workers)
-            ]
-            for t in threads:
-                t.start()
+        def prepare(group: list[int]) -> tuple[list, float]:
+            t0 = perf_counter()
             try:
-                for pos in range(len(groups)):
-                    with done_lock:
-                        if pos not in done:
-                            t0 = perf_counter()
-                            while pos not in done:
-                                done_lock.wait()
-                            if s_wait is not None:
-                                s_wait.add(perf_counter() - t0)
-                        results, busy = done.pop(pos)
-                    window.release()
-                    if s_groups is not None:
-                        s_groups.add(busy)
-                    yield from consume(groups[pos], results, busy)
-            finally:
-                try:
-                    while True:
-                        work.get_nowait()
-                except queue.Empty:
-                    pass
-                for _ in range(self.num_workers):
-                    work.put(_SENTINEL)
-                    window.release()
-                for t in threads:
-                    t.join(timeout=5.0)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                results = self.pipeline.run_batch(group, epoch)
+            except Exception as exc:  # noqa: BLE001 — fails this group only
+                results = [exc] * len(group)
+            return results, perf_counter() - t0
 
-    def _run_threaded(
-        self, indices: list[int], epoch: int, on_error: str
-    ) -> Iterator[PipelineItem | FailedItem]:
+        if self.num_workers == 0:
+            for group in groups:
+                results, busy = prepare(group)
+                yield results, busy, busy
+            return
+
         work: queue.Queue = queue.Queue()
-        done: dict[int, PipelineItem | FailedItem] = {}
+        done: dict[int, tuple[list, float]] = {}
         done_lock = threading.Condition()
-        # Admission window: workers may run at most prefetch_depth ahead of
-        # the consumer, bounding memory.
         window = threading.Semaphore(self.prefetch_depth)
-
-        for pos, idx in enumerate(indices):
-            work.put((pos, idx))
+        for task in enumerate(groups):
+            work.put(task)
         for _ in range(self.num_workers):
             work.put(_SENTINEL)
 
@@ -336,24 +223,17 @@ class PrefetchExecutor:
             while True:
                 # Acquire the admission slot BEFORE taking a task: slots
                 # then always belong to the oldest pending tasks, so the
-                # consumer (which frees a slot per consumed item) can never
-                # be stranded waiting on a task no slot remains for.
+                # consumer (which frees a slot per consumed group) can
+                # never be stranded waiting on a task no slot remains for.
                 window.acquire()
                 task = work.get()
                 if task is _SENTINEL:
                     window.release()
                     return
-                pos, idx = task
-                t0 = perf_counter()
-                try:
-                    result: PipelineItem | FailedItem = self.pipeline.run(
-                        idx, epoch
-                    )
-                except Exception as exc:  # propagate to the consumer
-                    result = FailedItem(index=idx, error=exc)
-                busy = perf_counter() - t0
+                pos, group = task
+                prepared = prepare(group)  # outside the lock
                 with done_lock:
-                    done[pos] = (result, busy)
+                    done[pos] = prepared
                     done_lock.notify_all()
 
         threads = [
@@ -362,31 +242,18 @@ class PrefetchExecutor:
         ]
         for t in threads:
             t.start()
-        st = self.stats
-        s_items = st.stat("executor.items") if st is not None else None
-        s_wait = st.stat("executor.wait") if st is not None else None
-        s_failed = st.stat("executor.failed") if st is not None else None
         try:
-            for pos in range(len(indices)):
+            for pos in range(len(groups)):
+                waited = None
                 with done_lock:
                     if pos not in done:
                         t0 = perf_counter()
                         while pos not in done:
                             done_lock.wait()
-                        if s_wait is not None:
-                            s_wait.add(perf_counter() - t0)
-                    result, busy = done.pop(pos)
+                        waited = perf_counter() - t0
+                    results, busy = done.pop(pos)
                 window.release()
-                if isinstance(result, FailedItem):
-                    if s_failed is not None:
-                        s_failed.add()
-                    if on_error == "raise":
-                        exc = result.error
-                        exc.sample_index = result.index  # type: ignore[attr-defined]
-                        raise exc
-                elif s_items is not None:
-                    s_items.add(busy)
-                yield result
+                yield results, busy, waited
         finally:
             # Early close: drain pending tasks, then unblock every worker —
             # whether parked on the admission semaphore or on the work

@@ -1,11 +1,12 @@
 """Linear operator pipeline with per-stage time attribution.
 
-This is the *execution* layer: an ordered op chain applied to one sample
-index.  Chains come either from the legacy ``DataLoader`` constructor or
-from a compiled preprocessing graph
-(:func:`repro.graph.compiler.compile_graph`), which is where fusion and
-reordering decisions are made — the pipeline just runs what it is given,
-skipping the remaining stages of an item a filter stage dropped.
+This is the *execution* layer: an ordered op chain applied to a group of
+sample indices (:meth:`Pipeline.run_batch`, the only stage walker;
+:meth:`Pipeline.run` is a group of one).  Chains come from a compiled
+preprocessing graph (:func:`repro.graph.compiler.compile_graph`), which is
+where fusion and reordering decisions are made — the pipeline just runs
+what it is given, skipping the remaining stages of an item a filter stage
+dropped or an earlier stage failed.
 
 Timing is safe under the threaded executor: each worker thread
 accumulates into its *own* :class:`~repro.util.timing.Stopwatch`
@@ -25,13 +26,8 @@ from repro.util.timing import Stopwatch
 __all__ = ["Pipeline"]
 
 
-def _pool_decode(plugin, blobs):
-    """Decode a blob batch in a worker process (module-level: picklable)."""
-    return plugin.decode_batch(blobs, None)
-
-
 class Pipeline:
-    """An ordered chain of operators applied to one sample index.
+    """An ordered chain of operators applied to groups of sample indices.
 
     The paper's plugins slot into DALI pipelines; here the chain is explicit
     and every stage's wall-clock time is accumulated per worker thread,
@@ -78,168 +74,61 @@ class Pipeline:
         return merged
 
     def run(self, index: int, epoch: int = 0) -> PipelineItem:
-        """Process one sample through every stage.
+        """Process one sample: a group of one, its failure re-raised."""
+        (result,) = self.run_batch([index], epoch)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
-        A stage that sets ``item.meta['dropped']`` (a compiled filter)
-        short-circuits the remaining stages — the item comes back marked
-        and the loader drops it from the epoch.
-        """
-        if self.trace is None:
-            return self._run(index, epoch)
-        with self.trace.trace("loader.fetch", index=index, epoch=epoch):
-            return self._run(index, epoch)
-
-    def _run(self, index: int, epoch: int) -> PipelineItem:
-        item = PipelineItem(index=index, meta={"epoch": epoch})
-        watch = self._thread_watch()
-        for op in self.ops:
-            with watch.measure(op.name), observe.span(op.name):
-                item = op(item)
-            if item.meta.get("dropped"):
-                break
-        return item
-
-    def run_batch(
-        self, indices, epoch: int = 0, decode_pool=None
-    ) -> list:
-        """Process a group of samples, vectorizing read and decode.
+    def run_batch(self, indices, epoch: int = 0) -> list:
+        """Walk a group of samples through every stage.
 
         Returns one entry per index, aligned with ``indices``: the
         processed :class:`PipelineItem`, or the ``Exception`` that sample
         raised (slot-isolated — one bad sample never sinks its
-        batch-mates; the executor wraps exceptions into ``FailedItem``).
+        group-mates; the executor wraps exceptions into ``FailedItem``).
 
-        Chains of the standard ``ReadOp → DecodeOp → extras`` shape take
-        the batch plane: one :func:`~repro.pipeline.sources.read_batch_slots`
-        fetch (amortizing locks/seeks/wire round-trips) and one
-        :meth:`~repro.core.plugins.base.SamplePlugin.decode_batch` call
-        (vectorized multi-sample decode, bit-identical to the scalar
-        loop by contract).  Any other chain — compiled graph plans
-        included — falls back to per-item :meth:`run`, so batching never
-        changes results, only amortization.
+        Each stage sees the group's surviving items in one
+        :meth:`Op.run_group` call, so a stage that can amortize across
+        samples does (``ReadOp``: one batched fetch, ``DecodeOp``: one
+        vectorized decode) whatever chain it sits in — batching changes
+        when fixed costs are paid, never a result bit.  A slot leaves the
+        walk when its stage fails it or a compiled filter sets
+        ``item.meta['dropped']`` (the item comes back marked and the
+        loader drops it from the epoch).
 
-        ``decode_pool`` (a ``concurrent.futures`` executor) offloads the
-        batched decode to a worker process to escape the GIL; it is only
-        used for CPU-placed decodes (a simulated device's accounting
-        lives in this process) and falls back in-process on any pool
-        failure.
+        With a recorder attached the whole group is one ``loader.fetch``
+        trace — keyed by ``index`` for a group of one, by ``batch`` size
+        otherwise — holding one child span per stage; failures are tagged
+        with its id, which is how ``FailedItem.trace_id`` gets set.
         """
-        from repro.pipeline.ops import DecodeOp, ReadOp
-
-        ops = self.ops
-        results: list = [None] * len(indices)
-        batchable = (
-            len(ops) >= 2
-            and type(ops[0]) is ReadOp
-            and type(ops[1]) is DecodeOp
-        )
-        if not batchable:
-            for j, idx in enumerate(indices):
-                try:
-                    results[j] = self.run(int(idx), epoch)
-                except Exception as exc:  # noqa: BLE001 — slot-isolated
-                    results[j] = exc
-            return results
-
-        # one trace for the whole group: the batch plane amortizes the
-        # fetch, so per-sample attribution inside it does not exist
-        with observe.traced(
-            self.trace, "loader.fetch", epoch=epoch, batch=len(indices)
-        ):
-            return self._run_batch_fast(indices, epoch, decode_pool, results)
-
-    def _run_batch_fast(self, indices, epoch, decode_pool, results) -> list:
-        from repro.pipeline.sources import read_batch_slots
-
-        ops = self.ops
-        read_op, decode_op = ops[0], ops[1]
-        watch = self._thread_watch()
-        items = [
-            PipelineItem(index=int(idx), meta={"epoch": epoch})
-            for idx in indices
+        results: list = [
+            PipelineItem(index=int(i), meta={"epoch": epoch}) for i in indices
         ]
-
-        # --- read: one batched fetch, per-slot failures stay in their slot
-        with watch.measure(read_op.name), observe.span(read_op.name):
-            slots = read_batch_slots(
-                read_op.source, [item.index for item in items]
-            )
-            live: list[int] = []
-            for j, (item, slot) in enumerate(zip(items, slots)):
-                if isinstance(slot, Exception):
-                    results[j] = slot
-                    continue
-                if read_op.verify:
-                    from repro.core.encoding.container import verify_sample
-
-                    try:
-                        verify_sample(slot, sample_id=item.index)
-                    except Exception as exc:  # noqa: BLE001 — slot-isolated
-                        results[j] = exc
-                        continue
-                item.blob = slot
-                item.meta["stored_bytes"] = len(slot)
-                live.append(j)
-        if len(items) > 1:
-            # stage counts mean "items through the stage", batched or not
-            watch.counts[read_op.name] += len(items) - 1
-
-        # --- decode: one vectorized multi-sample call
-        if live:
-            blobs = [items[j].blob for j in live]
-            with watch.measure(decode_op.name), observe.span(decode_op.name):
-                pairs = None
-                try:
-                    if decode_pool is not None and decode_op.device is None:
-                        pairs = decode_pool.submit(
-                            _pool_decode, decode_op.plugin,
-                            [bytes(b) for b in blobs],
-                        ).result()
-                    else:
-                        pairs = decode_op.plugin.decode_batch(
-                            blobs, decode_op.device
-                        )
-                except Exception:  # noqa: BLE001 — isolate via scalar loop
-                    pairs = None
-                decoded: list[int] = []
-                if pairs is not None:
-                    for j, (tensor, label) in zip(live, pairs):
-                        items[j].tensor = tensor
-                        items[j].label = label
-                        items[j].blob = None
-                        decoded.append(j)
-                else:
-                    # batch decode failed somewhere: the scalar loop pins
-                    # the failure to exactly the sample that raised
-                    for j in live:
-                        try:
-                            tensor, label = decode_op.plugin.decode(
-                                items[j].blob, decode_op.device
-                            )
-                        except Exception as exc:  # noqa: BLE001
-                            results[j] = exc
-                            continue
-                        items[j].tensor = tensor
-                        items[j].label = label
-                        items[j].blob = None
-                        decoded.append(j)
-            if pairs is not None and len(blobs) > 1:
-                watch.counts[decode_op.name] += len(blobs) - 1
-            live = decoded
-
-        # --- remaining stages: per item (augment/label/cast are scalar)
-        for j in live:
-            item = items[j]
-            try:
-                for op in ops[2:]:
-                    with watch.measure(op.name):
-                        item = op(item)
-                    if item.meta.get("dropped"):
-                        break
-            except Exception as exc:  # noqa: BLE001 — slot-isolated
-                results[j] = exc
-                continue
-            results[j] = item
+        if len(results) == 1:
+            root = {"index": results[0].index, "epoch": epoch}
+        else:
+            root = {"epoch": epoch, "batch": len(results)}
+        watch = self._thread_watch()
+        with observe.traced(self.trace, "loader.fetch", **root):
+            trace_id = observe.current_trace_id()
+            live = list(range(len(results)))
+            for op in self.ops:
+                if not live:
+                    break
+                with watch.measure(op.name), observe.span(op.name):
+                    outs = op.run_group([results[j] for j in live])
+                # stage counts mean "items through the stage"
+                watch.counts[op.name] += len(live) - 1
+                flowing = []
+                for j, out in zip(live, outs):
+                    results[j] = out
+                    if not isinstance(out, Exception):
+                        if not out.meta.get("dropped"):
+                            flowing.append(j)
+                    elif trace_id and not getattr(out, "trace_id", 0):
+                        out.trace_id = trace_id
+                live = flowing
         return results
 
     def stage_times(self) -> dict[str, float]:

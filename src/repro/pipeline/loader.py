@@ -31,8 +31,7 @@ import numpy as np
 from repro.accel.device import SimulatedGpu
 from repro.core.plugins.base import SamplePlugin
 from repro.pipeline.executor import FailedItem, PrefetchExecutor
-from repro.pipeline.graph import Pipeline
-from repro.pipeline.ops import DecodeOp, Op, PipelineItem, ReadOp
+from repro.pipeline.ops import DecodeOp, Op, PipelineItem
 from repro.pipeline.sources import SampleSource
 from repro.robust.quarantine import QuarantineLog
 from repro.tune.stats import StatsRegistry
@@ -87,8 +86,11 @@ class DataLoader:
         (the shard is already shuffled, so ``shuffle`` is ignored when
         this is set).
     graph:
-        Execute a compiled preprocessing graph instead of the legacy
-        linear chain.  ``True`` compiles the plugin's own
+        The preprocessing graph to compile and execute (the loader
+        always runs a :class:`~repro.graph.compiler.CompiledPlan`,
+        :attr:`plan`).  ``None`` (default) is the legacy chain, i.e. the
+        two-node graph ``read → DecodeOp(plugin, device)`` compiled
+        verbatim; ``True`` compiles the plugin's own
         ``declare_preprocessing()`` declaration; a
         :class:`~repro.graph.ir.PipelineGraph` compiles that graph.
         Hoisted prefilters are applied to the epoch order (held-out
@@ -101,20 +103,16 @@ class DataLoader:
         the declaration verbatim (the naive plan, for differential
         comparisons).
     batched_fetch:
-        Drive the executor in batch mode: ``batch_size`` becomes the
-        fetch/decode granularity, so each training batch costs one
-        batched read (one wire round-trip against a remote source) and
-        one vectorized multi-sample decode instead of ``batch_size``
-        scalar round-trips.  Bit-identical to the scalar path by the
-        batch plane's contract (``check_batch_equivalence``); failure
-        semantics (``bad_sample_policy``, quarantine, degraded
-        accounting) are unchanged because batch failures are delivered
-        per slot.  See docs/batching.md.
-    decode_processes:
-        With ``batched_fetch``: offload each group's decode to this
-        many worker processes (escapes the GIL for CPU-heavy decodes;
-        ignored for simulated-GPU placements, which keep their
-        accounting in-process).
+        Make ``batch_size`` the executor's group size
+        (``fetch_batch_size``; otherwise 1), so each training batch
+        costs one batched read (one wire round-trip against a remote
+        source) and, for the legacy chain, one vectorized multi-sample
+        decode instead of ``batch_size`` scalar round-trips.
+        Bit-identical to group size 1 by the batch plane's contract
+        (``check_batch_equivalence``); failure semantics
+        (``bad_sample_policy``, quarantine, degraded accounting) are
+        unchanged because failures are delivered per slot.  See
+        docs/batching.md.
     trace:
         Optional :class:`repro.observe.TraceRecorder`: record every
         sample's fetch as a ``loader.fetch`` span tree (sampled per the
@@ -142,7 +140,6 @@ class DataLoader:
         graph=None,
         optimize_graph: bool = True,
         batched_fetch: bool = False,
-        decode_processes: int = 0,
         trace=None,
     ) -> None:
         if batch_size < 1:
@@ -163,24 +160,24 @@ class DataLoader:
         self.order_fn = order_fn
         self.stats = stats if stats is not None else StatsRegistry()
         self.quarantine = QuarantineLog()
-        if graph is not None and graph is not False:
-            from repro.graph.compiler import compile_graph
+        from repro.graph.compiler import compile_graph
+        from repro.graph.ir import PipelineGraph
 
-            if graph is True:
-                graph = plugin.declare_preprocessing(
-                    source, verify_reads=verify_reads
-                )
-            self.plan = compile_graph(
-                graph, optimize=optimize_graph, device=device
+        if graph is None or graph is False:
+            # the legacy chain is the two-node plan read → decode(plugin)
+            graph = PipelineGraph("legacy")
+            graph.read(source, verify=verify_reads)
+            graph.op(DecodeOp(plugin, device))
+            optimize_graph = False
+        elif graph is True:
+            graph = plugin.declare_preprocessing(
+                source, verify_reads=verify_reads
             )
-            self.pipeline = self.plan.pipeline(extra_ops)
-        else:
-            self.plan = None
-            ops: list[Op] = [
-                ReadOp(source, verify=verify_reads), DecodeOp(plugin, device)
-            ]
-            ops.extend(extra_ops or [])
-            self.pipeline = Pipeline(ops)
+        #: the :class:`~repro.graph.compiler.CompiledPlan` being executed
+        self.plan = compile_graph(
+            graph, optimize=optimize_graph, device=device
+        )
+        self.pipeline = self.plan.pipeline(extra_ops)
         #: optional :class:`repro.observe.TraceRecorder`; spans originate
         #: on the pipeline (worker threads), survive :meth:`reconfigure`
         #: with the pipeline, and never alter results — a traced epoch is
@@ -194,7 +191,6 @@ class DataLoader:
             prefetch_depth=prefetch_depth,
             stats=self.stats,
             fetch_batch_size=batch_size if self.batched_fetch else 1,
-            decode_processes=decode_processes if self.batched_fetch else 0,
         )
 
     def reconfigure(
@@ -236,7 +232,6 @@ class DataLoader:
             ),
             stats=self.stats,
             fetch_batch_size=self.batch_size if self.batched_fetch else 1,
-            decode_processes=self.executor.decode_processes,
         )
 
     def __len__(self) -> int:
@@ -259,9 +254,7 @@ class DataLoader:
             order = np.arange(len(self.source))
             if self.shuffle:
                 make_rng(self.seed + epoch).shuffle(order)
-        if self.plan is not None:
-            order = self.plan.filter_order(order, epoch)
-        return order
+        return self.plan.filter_order(order, epoch)
 
     def batches(self, epoch: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(stacked_tensors, stacked_labels)`` for one epoch.

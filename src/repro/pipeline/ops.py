@@ -1,8 +1,10 @@
 """Pipeline operators (the DALI operator analogue).
 
 An operator transforms a :class:`PipelineItem` in place.  The standard
-chain is ``Read → Decode(plugin) → [Augment] → [LabelTransform]``; batching
-is handled by the loader.  Every operator runs under the pipeline's
+chain is ``Read → Decode(plugin) → [Augment] → [LabelTransform]``.  The
+pipeline hands each operator a *group* of items (:meth:`Op.run_group`),
+which is where a stage amortizes work across samples; assembling training
+batches is the loader's job.  Every operator runs under the pipeline's
 stopwatch so stage-level time attribution (Figures 9 and 12) is available
 from functional runs, not only from the performance model.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from repro.accel.device import SimulatedGpu
 from repro.core.encoding.container import verify_sample
 from repro.core.plugins.base import SamplePlugin
-from repro.pipeline.sources import SampleSource
+from repro.pipeline.sources import SampleSource, read_batch_slots
 
 __all__ = [
     "PipelineItem",
@@ -43,13 +45,36 @@ class PipelineItem:
 
 
 class Op(abc.ABC):
-    """One pipeline stage."""
+    """One pipeline stage.
+
+    ``__call__`` transforms one item; :meth:`run_group` is what the
+    pipeline actually invokes — a whole group of items at once, so a
+    stage that can amortize work across samples (one batched fetch, one
+    vectorized decode) overrides it, and every other stage inherits the
+    per-item loop.
+    """
 
     #: stage name used for time attribution
     name: str = "op"
 
     @abc.abstractmethod
     def __call__(self, item: PipelineItem) -> PipelineItem: ...
+
+    def run_group(self, items: list[PipelineItem]) -> list:
+        """Run the stage over a group: one item *or* ``Exception`` per slot.
+
+        Slot-isolated — a sample that raises comes back as its exception
+        in its own slot and never sinks its group-mates.  Overrides must
+        keep that contract and must treat a group of one exactly like
+        ``__call__`` (scalar mode is a group of one).
+        """
+        out: list = []
+        for item in items:
+            try:
+                out.append(self(item))
+            except Exception as exc:  # noqa: BLE001 — slot-isolated by design
+                out.append(exc)
+        return out
 
 
 class ReadOp(Op):
@@ -67,12 +92,30 @@ class ReadOp(Op):
         self.source = source
         self.verify = verify
 
-    def __call__(self, item: PipelineItem) -> PipelineItem:
-        item.blob = self.source.read(item.index)
+    def _accept(self, item: PipelineItem, blob) -> PipelineItem:
         if self.verify:
-            verify_sample(item.blob, sample_id=item.index)
-        item.meta["stored_bytes"] = len(item.blob)
+            verify_sample(blob, sample_id=item.index)
+        item.blob = blob
+        item.meta["stored_bytes"] = len(blob)
         return item
+
+    def __call__(self, item: PipelineItem) -> PipelineItem:
+        return self._accept(item, self.source.read(item.index))
+
+    def run_group(self, items: list[PipelineItem]) -> list:
+        """One batched fetch for the group, verified slot by slot."""
+        if len(items) == 1:
+            return super().run_group(items)
+        out = list(
+            read_batch_slots(self.source, [item.index for item in items])
+        )
+        for j, (item, slot) in enumerate(zip(items, out)):
+            if not isinstance(slot, Exception):
+                try:
+                    out[j] = self._accept(item, slot)
+                except Exception as exc:  # noqa: BLE001 — slot-isolated
+                    out[j] = exc
+        return out
 
 
 class DecodeOp(Op):
@@ -92,6 +135,25 @@ class DecodeOp(Op):
         item.tensor, item.label = self.plugin.decode(item.blob, self.device)
         item.blob = None  # free the encoded form
         return item
+
+    def run_group(self, items: list[PipelineItem]) -> list:
+        """One vectorized multi-sample decode for the group.
+
+        If the batched decode raises, the inherited scalar loop re-runs
+        the group and pins the failure to exactly the sample that raised.
+        """
+        if len(items) > 1:
+            try:
+                pairs = self.plugin.decode_batch(
+                    [item.blob for item in items], self.device
+                )
+            except Exception:  # noqa: BLE001 — isolated by the scalar loop
+                pass
+            else:
+                for item, (tensor, label) in zip(items, pairs):
+                    item.tensor, item.label, item.blob = tensor, label, None
+                return items
+        return super().run_group(items)
 
 
 class RandomFlipOp(Op):

@@ -15,8 +15,9 @@ Layered to match docs/batching.md:
   scalar decode loop for both workload plugins, including the
   mixed-shape fallback and simulated-GPU accounting;
 * executor/loader — ``batched_fetch=True`` yields bit-identical epochs
-  across worker counts and the process-pool decode backend, with
-  unchanged quarantine semantics;
+  across worker counts for the legacy chain *and* compiled plans (whose
+  fetch must ride the batch plane too), with unchanged quarantine
+  semantics, a whole-exchange failure confined to its own group;
 * tune/graph — the cost model's batch-size axis and the compiled plan's
   ``batch_overhead`` amortization reproduce the scalar numbers at B=1.
 """
@@ -436,12 +437,8 @@ def _epoch_bytes(loader, epoch=0):
 
 
 class TestLoaderBatchMode:
-    @pytest.mark.parametrize(
-        "workers,procs", [(0, 0), (3, 0), (0, 2), (3, 2)]
-    )
-    def test_batched_fetch_is_bit_identical(
-        self, deepcam_fix, workers, procs
-    ):
+    @pytest.mark.parametrize("workers", [0, 3])
+    def test_batched_fetch_is_bit_identical(self, deepcam_fix, workers):
         plugin, blobs = deepcam_fix
         reference = _epoch_bytes(
             DataLoader(ListSource(blobs), plugin, batch_size=4, seed=3)
@@ -449,12 +446,60 @@ class TestLoaderBatchMode:
         batched = DataLoader(
             ListSource(blobs), plugin, batch_size=4, seed=3,
             num_workers=workers, batched_fetch=True,
-            decode_processes=procs,
         )
         assert _epoch_bytes(batched) == reference
         snap = dict(batched.stats.snapshot())
         assert snap["executor.items"][0] == len(blobs)
         assert snap["executor.groups"][0] == 3  # ceil(10 / 4)
+
+    @pytest.mark.parametrize("workload", ["deepcam_fix", "cosmo_fix"])
+    def test_compiled_plan_fetches_over_the_batch_plane(
+        self, request, workload
+    ):
+        """A compiled plan's read stage is batch-native by construction:
+        one batched read per group, no scalar read, same bytes as the
+        scalar legacy epoch."""
+        plugin, blobs = request.getfixturevalue(workload)
+        blobs = (blobs * 2)[:12]
+        reference = _epoch_bytes(
+            DataLoader(ListSource(blobs), plugin, batch_size=4, seed=3)
+        )
+        counting = _Recorder(blobs, with_slots=True)
+        compiled = DataLoader(
+            counting, plugin, batch_size=4, seed=3, graph=True,
+            batched_fetch=True,
+        )
+        assert _epoch_bytes(compiled) == reference
+        assert (counting.slot_calls, counting.reads) == (3, 0)
+        assert compiled.stats.snapshot()["executor.groups"][0] == 3
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_whole_exchange_failure_fails_its_group_only(
+        self, deepcam_fix, workers
+    ):
+        """A batched read that raises as a whole (retries exhausted, dead
+        socket) costs exactly its own group, under the loader's policy,
+        whichever thread prepared the group."""
+        plugin, blobs = deepcam_fix
+        blobs = (blobs * 2)[:12]
+
+        class DiesOnFive(_Recorder):
+            def _read_batch_slots(self, indices):
+                if 5 in indices:
+                    raise OSError("exchange failed")
+                return super()._read_batch_slots(indices)
+
+        dl = DataLoader(
+            DiesOnFive(blobs, with_slots=True), plugin, batch_size=4,
+            shuffle=False, bad_sample_policy="skip", batched_fetch=True,
+            num_workers=workers,
+        )
+        delivered = sum(len(batch) for batch, _ in dl.batches(0))
+        assert delivered == 8
+        assert dl.quarantine.ids() == [4, 5, 6, 7]
+        snap = dl.stats.snapshot()
+        assert snap["executor.items"][0] == 8
+        assert snap["executor.failed"][0] == 4
 
     def test_batched_fetch_gpu_placement_identical(self):
         cfg = cosmoflow.CosmoflowConfig(grid=8, n_particles=2500)

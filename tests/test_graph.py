@@ -29,6 +29,7 @@ from repro.graph import (
 )
 from repro.graph.compiler import EpochConstOp
 from repro.pipeline import DataLoader, ListSource
+from repro.pipeline.ops import Op
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +150,7 @@ class TestPasses:
         plugin, g = self._graph(cosmo_lut)
         g.epoch_constant("aug_seed", lambda e: e * 7, meta_key="aug_seed")
 
-        class MetaReader:
+        class MetaReader(Op):
             name = "meta_reader"
 
             def __call__(self, item):
@@ -228,7 +229,7 @@ class TestPasses:
     def test_impure_op_blocks_fusion_chain(self, cosmo_lut):
         plugin, blobs = cosmo_lut
 
-        class Sideband:
+        class Sideband(Op):
             name = "sideband"
 
             def __call__(self, item):
@@ -332,7 +333,7 @@ class TestCompiler:
             calls.append(epoch)
             return 0.5**epoch
 
-        class MetaReader:
+        class MetaReader(Op):
             name = "meta_reader"
 
             def __call__(self, item):

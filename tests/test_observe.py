@@ -25,6 +25,7 @@ from repro.observe import (
 )
 from repro.pipeline import DataLoader, ListSource
 from repro.pipeline.executor import FailedItem
+from repro.pipeline.ops import RandomFlipOp
 from repro.robust.quarantine import QuarantineLog
 from repro.tune.controller import AdaptiveController, EpochObservation
 from repro.tune.stats import StatsRegistry
@@ -312,6 +313,49 @@ class TestLoaderIntegration:
         assert len(rec.spans()) > n_before
         # tracing observes, never steers
         assert traced_rows == plain
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_every_stage_spans_under_loader_fetch(
+        self, deepcam_blobs, batched
+    ):
+        """One stage walker: stages after decode keep their spans in a
+        batched epoch, under a root keyed by group size."""
+        plugin, blobs = deepcam_blobs
+        rec = TraceRecorder(proc="loader")
+        loader = DataLoader(
+            ListSource(blobs[:4]), plugin, batch_size=2, shuffle=False,
+            extra_ops=[RandomFlipOp(0.5)], trace=rec, batched_fetch=batched,
+        )
+        list(loader.batches(0))
+        roots = [s for s in rec.spans() if s.name == "loader.fetch"]
+        expected = (
+            [{"epoch": 0, "batch": 2}] * 2 if batched
+            else [{"index": i, "epoch": 0} for i in range(4)]
+        )
+        assert [r.meta for r in roots] == expected
+        for root in roots:
+            children = [s.name for s in rec.spans_for(root.trace_id)
+                        if s.parent_id == root.span_id]
+            assert children == ["read", "decode", "augment"]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_quarantined_failure_links_to_its_trace(
+        self, deepcam_blobs, batched
+    ):
+        plugin, blobs = deepcam_blobs
+        bad = list(blobs[:4])
+        bad[1] = b"not a container"
+        rec = TraceRecorder(proc="loader")
+        loader = DataLoader(
+            ListSource(bad), plugin, batch_size=2, shuffle=False,
+            bad_sample_policy="skip", trace=rec, batched_fetch=batched,
+        )
+        list(loader.batches(0))
+        (entry,) = loader.quarantine.entries
+        root = [s for s in rec.spans() if s.name == "loader.fetch"][
+            0 if batched else 1
+        ]
+        assert entry.trace_id == root.trace_id
 
     def test_untraced_loader_records_nothing(self, deepcam_blobs):
         plugin, blobs = deepcam_blobs

@@ -570,6 +570,87 @@ class TestExecutorStats:
         assert [i.index for i in items] == [0, 1, 2]
 
 
+class TestExecutionGrid:
+    """One execution path: whatever plan the loader compiled, whatever
+    the group size and the worker count, an epoch with one corrupt blob
+    is the same epoch — bytes, quarantine, raise position, counters —
+    and closing it early leaves no worker behind."""
+
+    PLANS = [None, True]  # legacy two-node plan, the plugin's declared graph
+    BAD = 6
+
+    @pytest.fixture(scope="class")
+    def grid_blobs(self):
+        cfg = deepcam.DeepcamConfig(height=12, width=20, n_channels=4)
+        plugin = DeepcamDeltaPlugin("cpu")
+        ds = deepcam.generate_dataset(10, cfg, seed=7)
+        blobs = [plugin.encode(s.data, s.label) for s in ds]
+        blobs[self.BAD] = b"not a container"
+        return plugin, blobs
+
+    @staticmethod
+    def _loader(grid_blobs, graph, batched, workers, policy):
+        plugin, blobs = grid_blobs
+        return DataLoader(
+            ListSource(blobs), plugin, batch_size=4, seed=2, graph=graph,
+            batched_fetch=batched, num_workers=workers, prefetch_depth=2,
+            bad_sample_policy=policy,
+        )
+
+    def _epoch(self, *cell):
+        dl = self._loader(*cell)
+        rows, raised_at = [], None
+        try:
+            for batch, labels in dl.batches(0):
+                rows.append((batch.tobytes(), labels.tobytes()))
+        except Exception as exc:  # noqa: BLE001 — the raise policy
+            raised_at = exc.sample_index
+        snap = dl.stats.snapshot()
+        return {
+            "rows": rows,
+            "raised_at": raised_at,
+            "quarantine": dl.quarantine.ids(),
+            "items": snap["executor.items"][0],
+            "failed": snap["executor.failed"][0],
+        }
+
+    @pytest.mark.parametrize("policy", ["raise", "skip", "substitute"])
+    @pytest.mark.parametrize("workers", [0, 3])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("graph", PLANS)
+    def test_every_cell_is_the_same_epoch(
+        self, grid_blobs, graph, batched, workers, policy
+    ):
+        reference = self._epoch(grid_blobs, None, False, 0, policy)
+        assert reference["failed"] == 1
+        if policy == "raise":
+            assert reference["raised_at"] == self.BAD
+            assert reference["quarantine"] == []
+        else:
+            assert reference["raised_at"] is None
+            assert reference["quarantine"] == [self.BAD]
+            assert reference["items"] == 9
+        assert self._epoch(grid_blobs, graph, batched, workers, policy) == (
+            reference
+        )
+
+    @pytest.mark.parametrize("workers", [0, 3])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("graph", PLANS)
+    def test_early_close_joins_every_worker(
+        self, grid_blobs, graph, batched, workers
+    ):
+        import threading
+
+        before = set(threading.enumerate())
+        loader = self._loader(grid_blobs, graph, batched, workers, "skip")
+        gen = loader.batches(0)
+        next(gen)
+        gen.close()
+        left = [t for t in set(threading.enumerate()) - before if t.is_alive()]
+        assert left == []
+
+
 class TestLoaderStatsAndReconfigure:
     def test_loader_records_epoch_and_batches(self, deepcam_blobs):
         plugin, blobs = deepcam_blobs
