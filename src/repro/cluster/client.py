@@ -42,6 +42,7 @@ import numpy as np
 from repro.cluster.routing import RoutingTable
 from repro.core.encoding.container import CorruptSampleError
 from repro.observe import trace as observe
+from repro.pipeline.sources import _check_index, _checked_slots
 from repro.serve import protocol
 from repro.serve.client import RemoteSource, ServerBusyError
 from repro.tune.stats import StatsRegistry
@@ -231,38 +232,45 @@ class ClusterSource:
             assert self._table is not None
             return self._table.n_samples
 
+    def _routing_table(self, *, force: bool = False) -> RoutingTable:
+        """The table to route on: refreshed, or the stale copy.
+
+        When the dispatcher is unreachable or (worse) reports zero live
+        workers, route on the stale copy rather than surface a
+        control-plane error from a data-plane read; if the replicas
+        really are gone the read still ends in the retryable
+        :class:`NoReplicaError`.
+        """
+        try:
+            return self._refresh_table(force=force)
+        except (OSError, RuntimeError):
+            self.stats.add("cluster.route_errors")
+            with self._lock:
+                assert self._table is not None
+                return self._table
+
+    def _replicas(self, table: RoutingTable, index: int) -> list[str]:
+        """``index``'s replicas, rotated by the client's salt so different
+        clients spread load."""
+        replicas = table.replicas(index)
+        offset = (index + self._salt) % len(replicas)
+        return replicas[offset:] + replicas[:offset]
+
     def read(self, index: int) -> bytes:
         """Fetch one blob from any live replica of ``index``'s range.
 
-        Pass 1 walks the replicas (rotated by the client's salt, so
-        different clients spread load) skipping suspects; pass 2 runs on
-        a force-refreshed table and tries everything.  See the module
+        Pass 1 walks the replicas skipping suspects; pass 2 runs on a
+        force-refreshed table and tries everything.  See the module
         docstring for the failure contract.
         """
-        n = len(self)
-        if not 0 <= index < n:
-            raise IndexError(f"sample index {index} out of range [0, {n})")
+        _check_index(index, len(self))
         busy_hint = 0.0
         attempts = 0
         transport_failures = 0
         last_corrupt: CorruptSampleError | None = None
         for last_resort in (False, True):
-            try:
-                table = self._refresh_table(force=last_resort)
-            except (OSError, RuntimeError):
-                # the dispatcher is unreachable or (worse) reports zero
-                # live workers — route on the stale copy rather than
-                # surface a control-plane error from a data-plane read;
-                # if the replicas really are gone this still ends in the
-                # retryable NoReplicaError below
-                self.stats.add("cluster.route_errors")
-                with self._lock:
-                    assert self._table is not None
-                    table = self._table
-            replicas = table.replicas(index)
-            offset = (index + self._salt) % len(replicas)
-            ordered = replicas[offset:] + replicas[:offset]
-            for worker_id in ordered:
+            table = self._routing_table(force=last_resort)
+            for worker_id in self._replicas(table, index):
                 if not last_resort and self._is_suspect(worker_id):
                     continue
                 attempts += 1
@@ -316,46 +324,33 @@ class ClusterSource:
         scalar :meth:`read` failover path, so the batch plane can only
         ever *add* round-trip amortization, never weaken the failover
         contract.  Each slot holds the blob or the exception the scalar
-        path finally raised.
+        path finally raised; an out-of-range index fails its own slot.
         """
         indices = [int(i) for i in indices]
-        n = len(self)
-        for index in indices:
-            if not 0 <= index < n:
-                raise IndexError(
-                    f"sample index {index} out of range [0, {n})"
-                )
-        if not indices:
-            return []
-        try:
-            table = self._refresh_table()
-        except (OSError, RuntimeError):
-            self.stats.add("cluster.route_errors")
-            with self._lock:
-                assert self._table is not None
-                table = self._table
+        slots, todo = _checked_slots(indices, len(self))
+        if not todo:
+            return slots
+        table = self._routing_table()
         # first-choice replica per index, skipping suspects
-        groups: dict[str, list[tuple[int, int]]] = {}
-        for pos, index in enumerate(indices):
-            replicas = table.replicas(index)
-            offset = (index + self._salt) % len(replicas)
-            ordered = replicas[offset:] + replicas[:offset]
+        groups: dict[str, list[int]] = {}
+        for pos in todo:
+            ordered = self._replicas(table, indices[pos])
             chosen = next(
                 (w for w in ordered if not self._is_suspect(w)), ordered[0]
             )
-            groups.setdefault(chosen, []).append((pos, index))
-        slots: list = [None] * len(indices)
-        fallback: list[tuple[int, int]] = []
+            groups.setdefault(chosen, []).append(pos)
+        fallback: list[int] = []
         for worker_id, members in groups.items():
-            batch = [index for _, index in members]
             try:
                 with observe.span(
-                    "cluster.batch", worker=worker_id, n=len(batch)
+                    "cluster.batch", worker=worker_id, n=len(members)
                 ):
                     conn = self._connection(
                         worker_id, table.address(worker_id)
                     )
-                    replies = conn.read_batch_slots(batch)
+                    replies = conn.read_batch_slots(
+                        [indices[pos] for pos in members]
+                    )
             except (OSError, TimeoutError):
                 self.stats.add("cluster.failovers")
                 self._mark_suspect(worker_id)
@@ -364,25 +359,17 @@ class ClusterSource:
             except Exception:  # noqa: BLE001 — e.g. old server: no READ_BATCH
                 fallback.extend(members)
                 continue
-            for (pos, index), reply in zip(members, replies):
+            for pos, reply in zip(members, replies):
                 if isinstance(reply, Exception):
-                    fallback.append((pos, index))
+                    fallback.append(pos)
                 else:
                     self.stats.add("cluster.reads")
                     slots[pos] = reply
-        for pos, index in fallback:
+        for pos in fallback:
             try:
-                slots[pos] = self.read(index)
+                slots[pos] = self.read(indices[pos])
             except Exception as exc:  # noqa: BLE001 — slot-isolated
                 slots[pos] = exc
-        return slots
-
-    def read_batch(self, indices) -> list[bytes]:
-        """Strict batched read: every blob, or the first slot's error."""
-        slots = self.read_batch_slots(indices)
-        for slot in slots:
-            if isinstance(slot, Exception):
-                raise slot
         return slots
 
     # -- lifecycle / reports -----------------------------------------------

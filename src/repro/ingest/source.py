@@ -18,9 +18,8 @@ Two readers with opposite freshness contracts:
   coordination, which only hands out indices a published manifest
   covers.
 
-Both implement the optional batch plane (``read_batch``) and compose
-unchanged with ``CachedSource`` / ``RetryingSource`` / ``TieredSource``
-/ ``DataLoader`` — prefix stability (see
+Both compose unchanged with ``CachedSource`` / ``RetryingSource`` /
+``TieredSource`` / ``DataLoader`` — prefix stability (see
 :mod:`repro.ingest.writer`) keeps index-keyed caches correct across
 growth.
 """
@@ -33,6 +32,7 @@ from pathlib import Path
 from repro.ingest.manifest import Manifest
 from repro.ingest.shards import scan_shard
 from repro.ingest.writer import _list_shards
+from repro.pipeline.sources import _check_index
 
 __all__ = ["ManifestSource", "LiveIngestSource"]
 
@@ -105,17 +105,11 @@ class ManifestSource:
         return len(self._index)
 
     def read(self, index: int) -> bytes:
-        if not 0 <= index < len(self._index):
-            raise IndexError(
-                f"sample index {index} out of range [0, {len(self._index)}) "
-                f"for manifest {self.manifest.manifest_id[:12]}…"
-            )
-        path, offset, length = self._index[index]
+        path, offset, length = self._index[
+            _check_index(index, len(self._index))
+        ]
         with self._lock:
             return self._reader.read(path, offset, length)
-
-    def read_batch(self, indices) -> list[bytes]:
-        return [self.read(int(i)) for i in indices]
 
     def close(self) -> None:
         with self._lock:
@@ -177,16 +171,10 @@ class LiveIngestSource:
         with self._lock:
             if index >= len(self._index):
                 self._refresh_locked()
-            if not 0 <= index < len(self._index):
-                raise IndexError(
-                    f"sample index {index} out of range "
-                    f"[0, {len(self._index)})"
-                )
-            path, offset, length = self._index[index]
+            path, offset, length = self._index[
+                _check_index(index, len(self._index))
+            ]
             return self._reader.read(path, offset, length)
-
-    def read_batch(self, indices) -> list[bytes]:
-        return [self.read(int(i)) for i in indices]
 
     def close(self) -> None:
         with self._lock:

@@ -47,6 +47,7 @@ __all__ = [
     "Span",
     "TraceRecorder",
     "span",
+    "NOOP_SPAN",
     "current_trace",
     "current_trace_id",
     "current_span_id",
@@ -154,13 +155,15 @@ class _NoopCtx:
     __slots__ = ()
 
     def __enter__(self):
-        return _NOOP_SPAN
+        return NOOP_SPAN
 
     def __exit__(self, *exc):
         return False
 
 
-_NOOP_SPAN = _NoopSpan()
+#: the inert span: what :func:`span` yields with no active trace, and
+#: what a caller passes where a span is expected but nothing is recorded
+NOOP_SPAN = _NoopSpan()
 _NOOP_CTX = _NoopCtx()
 
 

@@ -6,9 +6,16 @@ record files (CosmoFlow's TFRecord-style storage), and an LRU-caching
 decorator that realizes Figure 1's "cache the training set in the nearest
 memory level that fits" behaviour.
 
+One read contract (see :class:`SampleSource`): ``__len__``, ``read`` and
+one optional batch method, ``read_batch_slots``.  The module functions
+:func:`read_batch_slots` and :func:`read_batch` are how callers read a
+group from any source; :class:`WrapperSource` is how a per-sample
+decorator gets both entry points from one statement of its behaviour.
+
 All sources validate the index: out-of-range *and negative* indices raise
-``IndexError`` instead of silently wrapping around Python-style — a
-shuffled epoch order must never alias sample ``-1`` onto the last sample.
+``IndexError`` (in a group: fail their own slot) instead of silently
+wrapping around Python-style — a shuffled epoch order must never alias
+sample ``-1`` onto the last sample.
 
 Fault-tolerance decorators (fault injection, retrying reads) live in
 :mod:`repro.robust`, and the networked client of a data service
@@ -30,6 +37,7 @@ from repro.storage.tfrecord import build_index
 
 __all__ = [
     "SampleSource",
+    "WrapperSource",
     "ListSource",
     "TierSource",
     "TfRecordSource",
@@ -43,20 +51,19 @@ __all__ = [
 class SampleSource(Protocol):
     """Index → container bytes.
 
-    Only ``__len__`` and ``read`` are required.  Sources may additionally
-    implement the *batch plane* (see docs/batching.md):
+    Required: ``__len__`` and ``read(index)``, which raises ``IndexError``
+    for an out-of-range or negative index.  Optional, the *batch plane*
+    (docs/batching.md): ``read_batch_slots(indices) -> list[bytes |
+    Exception]`` — one entry per requested index, in request order, each
+    the blob or the exception ``read`` would have raised for it, so one
+    bad sample (corrupt, missing, out of range) cannot sink its
+    batch-mates.  Only a failure of the whole exchange (a broken
+    connection, a shed request) raises.
 
-    * ``read_batch(indices) -> list[bytes]`` — strict: all blobs or the
-      first error, amortizing per-call overhead (one lock/seek pass, one
-      wire round-trip);
-    * ``read_batch_slots(indices) -> list[bytes | Exception]`` — per-slot:
-      each failed sample is returned *in its slot* as the exception it
-      raised, so one corrupt sample cannot sink its batch-mates.
-
-    Callers should go through the module-level :func:`read_batch` /
-    :func:`read_batch_slots` helpers, which dispatch to these methods when
-    present and otherwise fall back to a per-index loop — every source is
-    batch-readable, implementations only make it faster.
+    Callers go through the module-level :func:`read_batch_slots` (the
+    method when present, else a per-index loop) or its strict form
+    :func:`read_batch` — every source is batch-readable, the method only
+    makes it faster.
     """
 
     def __len__(self) -> int: ...
@@ -64,32 +71,11 @@ class SampleSource(Protocol):
     def read(self, index: int) -> bytes: ...
 
 
-def read_batch(source: "SampleSource", indices) -> list[bytes]:
-    """Batched read with loop fallback — all blobs, or the first error."""
-    method = getattr(source, "read_batch", None)
-    if callable(method):
-        return method(indices)
-    return [source.read(int(i)) for i in indices]
-
-
 def read_batch_slots(source: "SampleSource", indices) -> list:
-    """Per-slot batched read: ``blob`` or the ``Exception`` it raised.
-
-    Dispatches to ``source.read_batch_slots`` when implemented (a remote
-    source maps wire error slots here); the fallback catches per-index so
-    local sources get the same one-bad-sample-per-slot semantics.
-    """
+    """Per-slot batched read: ``blob`` or the ``Exception`` it raised."""
     method = getattr(source, "read_batch_slots", None)
-    if callable(method):
+    if method is not None:
         return method(indices)
-    strict = getattr(source, "read_batch", None)
-    if callable(strict):
-        # amortized happy path; one failure falls back to the per-index
-        # loop below, which isolates it to its slot
-        try:
-            return list(strict(indices))
-        except Exception:  # noqa: BLE001 — retried per-index for isolation
-            pass
     slots: list = []
     for i in indices:
         try:
@@ -99,10 +85,107 @@ def read_batch_slots(source: "SampleSource", indices) -> list:
     return slots
 
 
-def _check_index(index: int, n: int, what: str) -> int:
+def read_batch(source: "SampleSource", indices) -> list[bytes]:
+    """Strict batched read: every blob, or the first failed slot's error."""
+    slots = read_batch_slots(source, indices)
+    for slot in slots:
+        if isinstance(slot, Exception):
+            raise slot
+    return slots
+
+
+def _check_index(index: int, n: int, what: str = "sample") -> int:
     if not 0 <= index < n:
         raise IndexError(f"{what} index {index} out of range [0, {n})")
     return index
+
+
+def _checked_slots(indices: list[int], n: int) -> tuple[list, list[int]]:
+    """Pre-fail the bad indices of a group, each in its own slot.
+
+    Returns ``(slots, todo)``: ``slots`` holds the ``IndexError`` of every
+    out-of-range index and ``None`` elsewhere; ``todo`` lists the
+    positions still to be fetched.
+    """
+    slots: list = []
+    todo: list[int] = []
+    for pos, index in enumerate(indices):
+        try:
+            _check_index(index, n)
+        except IndexError as exc:
+            slots.append(exc)
+        else:
+            slots.append(None)
+            todo.append(pos)
+    return slots, todo
+
+
+class WrapperSource:
+    """Base of the decorators that act on each sample of an inner source.
+
+    A subclass states its per-sample behaviour once, as two hooks, and
+    inherits both entry points — so scalar ``read`` is a group of one by
+    construction and every wrapper is batch-native:
+
+    * ``_before(index, sp) -> (blob | None, state)`` runs ahead of the
+      inner read: return the blob to serve a *hit* without touching
+      ``inner``, raise to *fail* the sample, or return ``None`` (a *miss*)
+      with whatever ``state`` the after-hook needs.  ``sp`` is the span of
+      a scalar read (inert in a group), for per-sample annotations;
+    * ``_after(index, blob, state) -> bytes`` receives the inner blob of a
+      miss: transform, verify (raise to fail the sample) or admit it.
+
+    ``read`` makes exactly one ``inner.read`` per miss;
+    ``read_batch_slots`` serves hits and hook failures in their slots and
+    fetches all misses in one inner batched read.  ``_span`` names the
+    span opened around either call (``index=`` for a scalar read; ``n=``,
+    ``hits=``, ``misses=`` for a group).
+    """
+
+    _span: str
+
+    def __init__(self, inner: SampleSource) -> None:
+        self.inner = inner
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    def read(self, index: int) -> bytes:
+        with observe.span(self._span, index=index) as sp:
+            blob, state = self._before(index, sp)
+            if blob is None:
+                blob = self._after(index, self.inner.read(index), state)
+        return blob
+
+    def read_batch_slots(self, indices) -> list:
+        indices = [int(i) for i in indices]
+        with observe.span(self._span, n=len(indices)) as sp:
+            slots: list = []
+            misses: list[tuple[int, object]] = []  # (position, hook state)
+            for pos, index in enumerate(indices):
+                try:
+                    blob, state = self._before(index, observe.NOOP_SPAN)
+                except Exception as exc:  # noqa: BLE001 — slot-isolated
+                    blob = exc
+                else:
+                    if blob is None:
+                        misses.append((pos, state))
+                slots.append(blob)
+            failed = sum(isinstance(slot, Exception) for slot in slots)
+            sp.annotate(hits=len(indices) - len(misses) - failed,
+                        misses=len(misses))
+            if misses:
+                fetched = read_batch_slots(
+                    self.inner, [indices[pos] for pos, _ in misses]
+                )
+                for (pos, state), blob in zip(misses, fetched):
+                    if not isinstance(blob, Exception):
+                        try:
+                            blob = self._after(indices[pos], blob, state)
+                        except Exception as exc:  # noqa: BLE001 — slot-isolated
+                            blob = exc
+                    slots[pos] = blob
+        return slots
 
 
 class ListSource:
@@ -115,13 +198,7 @@ class ListSource:
         return len(self._blobs)
 
     def read(self, index: int) -> bytes:
-        return self._blobs[_check_index(index, len(self._blobs), "sample")]
-
-    def read_batch(self, indices) -> list[bytes]:
-        n = len(self._blobs)
-        return [
-            self._blobs[_check_index(int(i), n, "sample")] for i in indices
-        ]
+        return self._blobs[_check_index(index, len(self._blobs))]
 
 
 class TierSource:
@@ -135,9 +212,7 @@ class TierSource:
         return len(self.names)
 
     def read(self, index: int) -> bytes:
-        return self.tier.read(
-            self.names[_check_index(index, len(self.names), "sample")]
-        )
+        return self.tier.read(self.names[_check_index(index, len(self.names))])
 
 
 class TfRecordSource:
@@ -159,36 +234,32 @@ class TfRecordSource:
     def __len__(self) -> int:
         return len(self._index)
 
-    def read(self, index: int) -> bytes:
+    def _read_locked(self, index: int) -> bytes:
         offset, length = self._index[
             _check_index(index, len(self._index), "record")
         ]
-        with self._lock:
-            if self._fh is None:
-                self._fh = open(self.path, "rb")
-            self._fh.seek(offset)
-            payload = self._fh.read(length)
+        if self._fh is None:
+            self._fh = open(self.path, "rb")
+        self._fh.seek(offset)
+        payload = self._fh.read(length)
         if len(payload) < length:
             raise ValueError("truncated record payload")
         return payload
 
-    def read_batch(self, indices) -> list[bytes]:
-        """All records under one lock acquisition (one seek pass)."""
-        n = len(self._index)
-        spans = [
-            self._index[_check_index(int(i), n, "record")] for i in indices
-        ]
-        blobs: list[bytes] = []
+    def read(self, index: int) -> bytes:
         with self._lock:
-            if self._fh is None:
-                self._fh = open(self.path, "rb")
-            for offset, length in spans:
-                self._fh.seek(offset)
-                payload = self._fh.read(length)
-                if len(payload) < length:
-                    raise ValueError("truncated record payload")
-                blobs.append(payload)
-        return blobs
+            return self._read_locked(index)
+
+    def read_batch_slots(self, indices) -> list:
+        """All records under one lock acquisition (one seek pass)."""
+        slots: list = []
+        with self._lock:
+            for i in indices:
+                try:
+                    slots.append(self._read_locked(int(i)))
+                except Exception as exc:  # noqa: BLE001 — slot-isolated
+                    slots.append(exc)
+        return slots
 
     def close(self) -> None:
         """Release the file handle (reads after this re-open it)."""
@@ -204,52 +275,35 @@ class TfRecordSource:
         self.close()
 
 
-class CachedSource:
+class CachedSource(WrapperSource):
     """LRU host-memory cache in front of any source.
 
     Smaller encoded samples ⇒ more of them fit ⇒ higher hit rate — the
     compression-enables-caching effect the paper's optimization relies on.
 
     With ``verify=True`` every blob coming from the inner source is
-    checksum-verified *before* it is cached: a corrupt blob raises and is
-    never stored, so one bad read can't poison every later epoch from the
-    cache.  (Failed inner reads never reach ``put`` either way.)
+    checksum-verified *before* it is cached: a corrupt blob fails its own
+    read (its own slot of a group) and is never stored, so one bad read
+    can't poison every later epoch from the cache.  A group is served
+    hits-from-cache, misses in one inner batched read.
     """
+
+    _span = "cache"
 
     def __init__(
         self, inner: SampleSource, cache: SampleCache, verify: bool = False
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.cache = cache
         self.verify = verify
 
-    def __len__(self) -> int:
-        return len(self.inner)
+    def _before(self, index: int, sp):
+        blob = self.cache.get(index)
+        sp.annotate(hit=blob is not None)
+        return blob, None
 
-    def read(self, index: int) -> bytes:
-        with observe.span("cache", index=index) as sp:
-            blob = self.cache.get(index)
-            if blob is None:
-                sp.annotate(hit=False)
-                blob = self.inner.read(index)
-                if self.verify:
-                    verify_sample(blob, sample_id=index)
-                self.cache.put(index, blob)
-            else:
-                sp.annotate(hit=True)
+    def _after(self, index: int, blob: bytes, state) -> bytes:
+        if self.verify:
+            verify_sample(blob, sample_id=index)
+        self.cache.put(index, blob)
         return blob
-
-    def read_batch(self, indices) -> list[bytes]:
-        """Hits from the cache, misses in one inner batched read."""
-        indices = [int(i) for i in indices]
-        blobs: list = [self.cache.get(i) for i in indices]
-        missing = [pos for pos, b in enumerate(blobs) if b is None]
-        if missing:
-            fetched = read_batch(self.inner, [indices[p] for p in missing])
-            for pos, blob in zip(missing, fetched):
-                index = indices[pos]
-                if self.verify:
-                    verify_sample(blob, sample_id=index)
-                self.cache.put(index, blob)
-                blobs[pos] = blob
-        return blobs

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.pipeline.sources import WrapperSource, _check_index
+
 __all__ = ["FaultPlan", "FaultStats", "FaultInjector", "FaultyTier"]
 
 #: fault kinds, in the order they are drawn from the RNG stream
@@ -125,8 +127,11 @@ class _FaultEngine:
         return rng
 
     def post_read(self, key: object, blob: bytes, rng: np.random.Generator) -> bytes:
-        """Roll post-read payload faults (truncation, bit-flip)."""
+        """Damage a blob in hand: permanent corruption, else the rolled
+        payload faults (truncation, bit-flip) of this attempt."""
         plan = self.plan
+        if key in plan.corrupt_ids:
+            return self.corrupt_permanently(key, blob)
         if rng.random() < plan.truncate_rate and len(blob) > 1:
             self.stats.injected["truncate"] += 1
             cut = int(rng.integers(1, len(blob)))
@@ -140,8 +145,13 @@ class _FaultEngine:
         return blob
 
 
-class FaultInjector:
+class FaultInjector(WrapperSource):
     """A ``SampleSource`` decorator that injects seeded failures.
+
+    Faults are drawn per *(index, attempt)*, never from call order, so a
+    group read through ``read_batch_slots`` (one inner batched read for
+    the samples that survive their pre-read roll) injects exactly the
+    faults the scalar loop over the same indices would.
 
     Parameters
     ----------
@@ -154,8 +164,10 @@ class FaultInjector:
         real waiting.
     """
 
+    _span = "fault"
+
     def __init__(self, inner, plan: FaultPlan, sleep=time.sleep) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self._engine = _FaultEngine(plan, sleep)
 
@@ -163,14 +175,12 @@ class FaultInjector:
     def stats(self) -> FaultStats:
         return self._engine.stats
 
-    def __len__(self) -> int:
-        return len(self.inner)
+    def _before(self, index: int, sp):
+        # a bad index is the caller's error, not a read to roll dice for
+        _check_index(index, len(self.inner))
+        return None, self._engine.pre_read(index)  # never a hit
 
-    def read(self, index: int) -> bytes:
-        rng = self._engine.pre_read(index)
-        blob = self.inner.read(index)
-        if index in self.plan.corrupt_ids:
-            return self._engine.corrupt_permanently(index, blob)
+    def _after(self, index: int, blob: bytes, rng) -> bytes:
         return self._engine.post_read(index, blob, rng)
 
 
@@ -204,17 +214,10 @@ class FaultyTier:
         if self.on != "read":
             return self.inner.read(name)
         rng = self._engine.pre_read(name)
-        blob = self.inner.read(name)
-        if name in self.plan.corrupt_ids:
-            return self._engine.corrupt_permanently(name, blob)
-        return self._engine.post_read(name, blob, rng)
+        return self._engine.post_read(name, self.inner.read(name), rng)
 
     def write(self, name: str, data: bytes):
         if self.on != "write":
             return self.inner.write(name, data)
         rng = self._engine.pre_read(name)
-        if name in self.plan.corrupt_ids:
-            data = self._engine.corrupt_permanently(name, data)
-        else:
-            data = self._engine.post_read(name, data, rng)
-        return self.inner.write(name, data)
+        return self.inner.write(name, self._engine.post_read(name, data, rng))

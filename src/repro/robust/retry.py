@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.encoding.container import CorruptSampleError, verify_sample
 from repro.observe import trace as observe
+from repro.pipeline.sources import read_batch_slots
 
 __all__ = ["RetryPolicy", "RetryStats", "RetryingSource"]
 
@@ -81,6 +82,10 @@ class RetryStats:
 class RetryingSource:
     """Retry decorator for any ``SampleSource``.
 
+    ``read`` is the primitive: one sample, retried under the policy.  A
+    group (``read_batch_slots``) retries a failed whole exchange under
+    the same backoff loop, then each failed slot through ``read``.
+
     Parameters
     ----------
     inner:
@@ -123,27 +128,24 @@ class RetryingSource:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def read(self, index: int) -> bytes:
+    def _retry(self, attempt_fn, *args, **span_meta):
+        """``attempt_fn(*args)`` under the policy — the one backoff loop.
+
+        Attempts, jittered delay, the ``retry_after_s`` floor, the
+        ``timeout_s`` deadline and the retry/abort accounting, shared by
+        the scalar read and the whole-exchange retry of a group.
+        """
         policy = self.policy
         deadline = (
             self._clock() + policy.timeout_s
             if policy.timeout_s is not None
             else None
         )
-        last_exc: Exception | None = None
         for attempt in range(policy.max_attempts):
             try:
                 with observe.span("retry.attempt", attempt=attempt,
-                                  index=index):
-                    blob = self.inner.read(index)
-                    if self.verify:
-                        try:
-                            verify_sample(blob, sample_id=index)
-                        except CorruptSampleError:
-                            self.stats.verify_failures += 1
-                            raise
-                self.stats.reads += 1
-                return blob
+                                  **span_meta):
+                    return attempt_fn(*args)
             except self.retryable as exc:
                 last_exc = exc
                 self.stats._count_error(exc)
@@ -160,9 +162,26 @@ class RetryingSource:
                     self._sleep(delay)
                 self.stats.backoff_seconds += delay
         self.stats.aborts += 1
-        assert last_exc is not None
         last_exc.retry_attempts = policy.max_attempts  # type: ignore[attr-defined]
         raise last_exc
+
+    def _verify(self, index: int, blob: bytes) -> None:
+        try:
+            verify_sample(blob, sample_id=index)
+        except CorruptSampleError:
+            self.stats.verify_failures += 1
+            raise
+
+    def _read_once(self, index: int) -> bytes:
+        blob = self.inner.read(index)
+        if self.verify:
+            self._verify(index, blob)
+        return blob
+
+    def read(self, index: int) -> bytes:
+        blob = self._retry(self._read_once, index, index=index)
+        self.stats.reads += 1
+        return blob
 
     def read_batch_slots(self, indices) -> list:
         """Batched read with retries at both granularities.
@@ -174,59 +193,26 @@ class RetryingSource:
         own backoff budget, so one flaky sample consumes one sample's
         retry budget, not the batch's.
         """
-        from repro.pipeline.sources import read_batch_slots as _slots
-
         indices = [int(i) for i in indices]
         if not indices:
             return []
-        policy = self.policy
-        slots: list | None = None
-        for attempt in range(policy.max_attempts):
-            try:
-                with observe.span("retry.attempt", attempt=attempt,
-                                  batch=len(indices)):
-                    slots = _slots(self.inner, indices)
-                break
-            except self.retryable as exc:
-                self.stats._count_error(exc)
-                if attempt + 1 >= policy.max_attempts:
-                    self.stats.aborts += 1
-                    exc.retry_attempts = policy.max_attempts  # type: ignore[attr-defined]
-                    raise
-                delay = policy.delay(attempt, self._rng)
-                hint = getattr(exc, "retry_after_s", None)
-                if hint:
-                    delay = max(delay, float(hint))
-                self.stats.retries += 1
-                if delay > 0:
-                    self._sleep(delay)
-                self.stats.backoff_seconds += delay
-        assert slots is not None
-        out: list = []
-        for index, slot in zip(indices, slots):
-            if not isinstance(slot, Exception) and self.verify:
+        slots = self._retry(
+            read_batch_slots, self.inner, indices, batch=len(indices)
+        )
+        for pos, (index, slot) in enumerate(zip(indices, slots)):
+            if self.verify and not isinstance(slot, Exception):
                 try:
-                    verify_sample(slot, sample_id=index)
+                    self._verify(index, slot)
                 except CorruptSampleError as exc:
-                    self.stats.verify_failures += 1
                     slot = exc
-            if isinstance(slot, Exception):
-                if isinstance(slot, self.retryable):
-                    try:
-                        slot = self.read(index)  # scalar retry budget
-                    except Exception as exc:  # noqa: BLE001 — slot-isolated
-                        slot = exc
-                else:
-                    self.stats._count_error(slot)
-            else:
+            if not isinstance(slot, Exception):
                 self.stats.reads += 1
-            out.append(slot)
-        return out
-
-    def read_batch(self, indices) -> list[bytes]:
-        """Strict batched read: every blob, or the first slot's error."""
-        slots = self.read_batch_slots(indices)
-        for slot in slots:
-            if isinstance(slot, Exception):
-                raise slot
+            elif isinstance(slot, self.retryable):
+                try:
+                    slot = self.read(index)  # scalar retry budget
+                except Exception as exc:  # noqa: BLE001 — slot-isolated
+                    slot = exc
+            else:
+                self.stats._count_error(slot)
+            slots[pos] = slot
         return slots

@@ -49,6 +49,7 @@ import numpy as np
 from repro.core.encoding.container import CorruptSampleError
 from repro.observe import trace as observe
 from repro.observe.wire import TraceContext, pack_trace_context
+from repro.pipeline.sources import _check_index, _checked_slots
 from repro.serve import protocol
 from repro.tune.stats import StatsRegistry
 
@@ -263,7 +264,7 @@ class RemoteSource:
         if kind == protocol.ST_BUSY:
             self._raise_busy(payload)
         if kind == protocol.ST_ERROR:
-            self._raise_remote(payload, context)
+            raise self._remote_error(payload, context)
         if kind != protocol.ST_OK:
             self._drop()
             raise protocol.ProtocolError(f"unexpected response kind {kind:#x}")
@@ -279,7 +280,9 @@ class RemoteSource:
             reason=str(detail.get("reason", "")),
         )
 
-    def _raise_remote(self, payload: bytes, context) -> None:
+    def _remote_error(self, payload: bytes, context) -> Exception:
+        """The local exception an error payload denotes — the body of an
+        ``ST_ERROR`` frame or of one ``SLOT_ERROR`` slot."""
         detail = protocol.unpack_json(payload)
         name = str(detail.get("error", "RemoteOpError"))
         message = str(detail.get("message", "remote operation failed"))
@@ -301,7 +304,7 @@ class RemoteSource:
                 exc.trace_id = int(str(tid), 16)
             except ValueError:
                 pass
-        raise exc
+        return exc
 
     def _request_json(self, op: int) -> dict:
         return protocol.unpack_json(self._round_trip(op, b""))
@@ -341,9 +344,7 @@ class RemoteSource:
 
     def read(self, index: int) -> bytes:
         """Fetch one container blob.  Raises ``IndexError`` out of range."""
-        n = len(self)
-        if not 0 <= index < n:
-            raise IndexError(f"sample index {index} out of range [0, {n})")
+        _check_index(index, len(self))
         with observe.span("wire.rpc", op="read", index=index):
             body = protocol.pack_read(index, trace=self._trace_tail())
             with self._lock:
@@ -358,59 +359,39 @@ class RemoteSource:
         container blob, or the ``Exception`` the server reported for that
         sample (mapped through the same taxonomy as :meth:`read` — a
         corrupt sample stays a quarantinable ``CorruptSampleError``, a
-        transient server I/O failure stays a retryable ``OSError``).
-        Whole-exchange failures — transport faults, a CRC-damaged batch
-        frame, an ``ST_BUSY`` shed — raise exactly as :meth:`read` does:
-        no slot survives a broken frame.
+        transient server I/O failure stays a retryable ``OSError``).  An
+        out-of-range index fails its own slot with ``IndexError`` and is
+        never sent.  Whole-exchange failures — transport faults, a
+        CRC-damaged batch frame, an ``ST_BUSY`` shed — raise exactly as
+        :meth:`read` does: no slot survives a broken frame.
         """
         indices = [int(i) for i in indices]
-        n = len(self)
-        for index in indices:
-            if not 0 <= index < n:
-                raise IndexError(
-                    f"sample index {index} out of range [0, {n})"
-                )
-        if not indices:
-            return []
-        with observe.span("wire.rpc", op="read_batch", n=len(indices)):
+        slots, todo = _checked_slots(indices, len(self))
+        if not todo:
+            return slots
+        wanted = [indices[pos] for pos in todo]
+        with observe.span("wire.rpc", op="read_batch", n=len(wanted)):
             request = protocol.pack_indices(
-                np.asarray(indices, dtype=np.int64), trace=self._trace_tail()
+                np.asarray(wanted, dtype=np.int64), trace=self._trace_tail()
             )
             with self._lock:
                 body = self._round_trip(
-                    protocol.OP_READ_BATCH, request, context=tuple(indices)
+                    protocol.OP_READ_BATCH, request, context=tuple(wanted)
                 )
         raw = protocol.unpack_batch_reply(body)
-        if len(raw) != len(indices):
+        if len(raw) != len(wanted):
             self._drop()  # server answered a different question: resync
             raise protocol.ProtocolError(
                 f"READ_BATCH answered {len(raw)} slots for "
-                f"{len(indices)} indices"
+                f"{len(wanted)} indices"
             )
         self.stats.add("remote.read_batch", n=1)
-        slots: list = []
-        for index, (status, payload) in zip(indices, raw):
+        for pos, (status, payload) in zip(todo, raw):
             if status == protocol.SLOT_OK:
-                slots.append(payload.tobytes())
+                slots[pos] = payload.tobytes()
             else:
-                slots.append(self._slot_exception(payload, index))
+                slots[pos] = self._remote_error(bytes(payload), indices[pos])
         return slots
-
-    def read_batch(self, indices) -> list[bytes]:
-        """Strict batched read: every blob, or the first slot's error."""
-        slots = self.read_batch_slots(indices)
-        for slot in slots:
-            if isinstance(slot, Exception):
-                raise slot
-        return slots
-
-    def _slot_exception(self, payload, index) -> Exception:
-        """Map one SLOT_ERROR payload to the local exception it denotes."""
-        try:
-            self._raise_remote(bytes(payload), index)
-        except Exception as exc:  # noqa: BLE001 — returned, not swallowed
-            return exc
-        raise AssertionError("_raise_remote returned")  # pragma: no cover
 
     # -- service ops -------------------------------------------------------
 

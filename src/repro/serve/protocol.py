@@ -102,6 +102,8 @@ import zlib
 
 import numpy as np
 
+from repro.observe.wire import unpack_trace_context
+
 __all__ = [
     "MAGIC",
     "OP_READ",
@@ -363,11 +365,19 @@ def pack_read(index: int, trace: bytes = b"") -> bytes:
     return _READ_BODY.pack(index)
 
 
+def _read_prefix(body: bytes) -> tuple[int, bytes]:
+    """Split a ``READ`` body into ``(index, tail)``."""
+    if len(body) < _READ_BODY.size:
+        raise ProtocolError(f"READ body must be >= {_READ_BODY.size} bytes")
+    return _READ_BODY.unpack_from(body)[0], body[_READ_BODY.size:]
+
+
 def unpack_read(body: bytes) -> int:
-    """Parse a ``READ`` request body back into a sample index."""
-    if len(body) != _READ_BODY.size:
+    """Parse a bare ``READ`` request body back into a sample index."""
+    index, tail = _read_prefix(body)
+    if tail:
         raise ProtocolError(f"READ body must be {_READ_BODY.size} bytes")
-    return _READ_BODY.unpack(body)[0]
+    return index
 
 
 def unpack_read_traced(body: bytes):
@@ -376,12 +386,8 @@ def unpack_read_traced(body: bytes):
     Returns ``(index, TraceContext | None)``; a malformed or absent
     header is ``None`` — observability must never fail a read.
     """
-    from repro.observe.wire import unpack_trace_context
-
-    if len(body) < _READ_BODY.size:
-        raise ProtocolError(f"READ body must be >= {_READ_BODY.size} bytes")
-    (index,) = _READ_BODY.unpack_from(body, 0)
-    return index, unpack_trace_context(body[_READ_BODY.size:])
+    index, tail = _read_prefix(body)
+    return index, unpack_trace_context(tail)
 
 
 def pack_epoch(rank: int, epoch: int) -> bytes:
@@ -412,42 +418,45 @@ def pack_indices(indices: np.ndarray, trace: bytes = b"") -> bytes:
     return _COUNT.pack(arr.size) + arr.tobytes()
 
 
-def unpack_indices(body: bytes) -> np.ndarray:
-    """Parse a shard payload into an ``int64`` index array."""
-    if len(body) < _COUNT.size:
-        raise ProtocolError("truncated shard payload")
-    (count,) = _COUNT.unpack(body[: _COUNT.size])
-    payload = body[_COUNT.size:]
-    if len(payload) != count * 8:
-        raise ProtocolError(
-            f"shard payload carries {len(payload)} bytes for {count} indices"
-        )
-    return np.frombuffer(payload, dtype="<u8").astype(np.int64)
+def _indices_prefix(body: bytes) -> tuple[np.ndarray, bytes]:
+    """Split a shard payload into ``(int64 indices, tail)``.
 
-
-def unpack_indices_traced(body: bytes):
-    """Parse a ``READ_BATCH`` request body, tolerating a trace tail.
-
-    Returns ``(indices, TraceContext | None)``.  The fixed part is
-    self-delimiting (``count`` says where the indices end), so any
-    trailing bytes are the optional trace-context header; malformed
-    headers parse as ``None`` rather than failing the batch.
+    The fixed part is self-delimiting: ``count`` says where the indices
+    end.
     """
-    from repro.observe.wire import unpack_trace_context
-
     if len(body) < _COUNT.size:
         raise ProtocolError("truncated shard payload")
-    (count,) = _COUNT.unpack(body[: _COUNT.size])
+    (count,) = _COUNT.unpack_from(body)
     end = _COUNT.size + count * 8
     if len(body) < end:
         raise ProtocolError(
             f"shard payload carries {len(body) - _COUNT.size} bytes "
             f"for {count} indices"
         )
-    indices = np.frombuffer(body[_COUNT.size:end], dtype="<u8").astype(
-        np.int64
-    )
-    return indices, unpack_trace_context(body[end:])
+    indices = np.frombuffer(body[_COUNT.size:end], dtype="<u8")
+    return indices.astype(np.int64), body[end:]
+
+
+def unpack_indices(body: bytes) -> np.ndarray:
+    """Parse a bare shard payload into an ``int64`` index array."""
+    indices, tail = _indices_prefix(body)
+    if tail:
+        raise ProtocolError(
+            f"shard payload carries {len(tail)} bytes past its "
+            f"{len(indices)} indices"
+        )
+    return indices
+
+
+def unpack_indices_traced(body: bytes):
+    """Parse a ``READ_BATCH`` request body, tolerating a trace tail.
+
+    Returns ``(indices, TraceContext | None)``: any bytes after the
+    indices are the optional trace-context header; malformed headers
+    parse as ``None`` rather than failing the batch.
+    """
+    indices, tail = _indices_prefix(body)
+    return indices, unpack_trace_context(tail)
 
 
 def pack_manifest_shard(

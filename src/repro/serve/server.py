@@ -79,8 +79,14 @@ _OP_NAMES = {
     protocol.OP_METRICS: "metrics",
 }
 
-#: shared inert context for the tracing-disabled path (no allocation)
+#: shared inert context: tracing disabled, or no read lock needed
 _NULL_CTX = nullcontext()
+
+
+def _read_scalar(source: SampleSource, indices) -> list:
+    """The ``READ`` op's reader: a group of one takes the scalar
+    ``source.read`` (never ``read_batch_slots([i])``); a failure raises."""
+    return [source.read(indices[0])]
 
 
 class FrameServer:
@@ -263,25 +269,23 @@ class FrameServer:
                     except (protocol.ProtocolError, OSError):
                         self._record(f"{self.stats_prefix}.errors")
                         return  # stream broken: drop the connection
-                    except protocol.FrameCorruptError:
+                    except protocol.FrameCorruptError as exc:
                         # request damaged in flight but stream in sync:
                         # tell the client so it can retry the op
                         self._record(f"{self.stats_prefix}.errors")
-                        self._send_error(
-                            conn, "FrameCorruptError", "request frame CRC mismatch"
-                        )
-                        continue
-                    if frame is None:
-                        return  # clean EOF between requests
-                    kind, body = frame
-                    try:
-                        response = self._timed_dispatch(kind, body, peer)
-                    except BusyError as exc:
-                        self._record(f"{self.stats_prefix}.busy")
-                        response = self._busy_frame(exc)
-                    except Exception as exc:  # never kill the handler
-                        self._record(f"{self.stats_prefix}.errors")
                         response = self._error_frame(exc)
+                    else:
+                        if frame is None:
+                            return  # clean EOF between requests
+                        kind, body = frame
+                        try:
+                            response = self._timed_dispatch(kind, body, peer)
+                        except BusyError as exc:
+                            self._record(f"{self.stats_prefix}.busy")
+                            response = self._busy_frame(exc)
+                        except Exception as exc:  # never kill the handler
+                            self._record(f"{self.stats_prefix}.errors")
+                            response = self._error_frame(exc)
                     try:
                         if isinstance(response, tuple):
                             # scatter-gather frame: (kind, buffer list)
@@ -324,15 +328,23 @@ class FrameServer:
 
     # -- error / shed responses --------------------------------------------
 
-    def _error_frame(self, exc: Exception) -> bytes:
+    @staticmethod
+    def _error_payload(exc: Exception) -> bytes:
+        """The JSON error object of an ``ST_ERROR`` frame or a
+        ``SLOT_ERROR`` slot: what the client re-raises from."""
         payload = {"error": type(exc).__name__, "message": str(exc)}
         section = getattr(exc, "section", None)
         if section is not None:
             payload["section"] = section
-        trace_id = getattr(exc, "trace_id", 0)
-        if trace_id:  # propagate the trace back; old clients ignore the key
+        # propagate the trace back (the exception's own tag, else the
+        # trace being served); old clients ignore the key
+        trace_id = getattr(exc, "trace_id", 0) or observe.current_trace_id()
+        if trace_id:
             payload["trace_id"] = format(trace_id, "x")
-        return protocol.pack_frame(protocol.ST_ERROR, protocol.pack_json(payload))
+        return protocol.pack_json(payload)
+
+    def _error_frame(self, exc: Exception) -> bytes:
+        return protocol.pack_frame(protocol.ST_ERROR, self._error_payload(exc))
 
     def _busy_frame(self, exc: BusyError) -> bytes:
         return protocol.pack_frame(
@@ -341,17 +353,6 @@ class FrameServer:
                 {"retry_after_s": exc.retry_after_s, "reason": exc.reason}
             ),
         )
-
-    def _send_error(self, conn: socket.socket, error: str, message: str) -> None:
-        try:
-            conn.sendall(
-                protocol.pack_frame(
-                    protocol.ST_ERROR,
-                    protocol.pack_json({"error": error, "message": message}),
-                )
-            )
-        except OSError:
-            pass
 
 
 class DataServer(FrameServer):
@@ -505,24 +506,42 @@ class DataServer(FrameServer):
             )
         return self.trace.trace("server.handle", op=op, **meta)
 
-    def _op_read(self, body: bytes, peer) -> bytes:
+    def _fetch(self, peer, indices, read=read_batch_slots) -> list:
+        """The one guarded path to the source: blob-or-exception slots.
+
+        Admission is charged once per request (a batch is one unit of
+        server work to shed) and the service delay is paid once (that is
+        the amortization the batch plane exists for); the read runs under
+        the read lock unless a cache fronts the source, and every blob is
+        then verified when the server verifies uncached reads.
+        """
+        if self.admission is not None:
+            self.admission.admit(peer)  # raises BusyError on shed
+        try:
+            if self.service_delay_s > 0:
+                time.sleep(self.service_delay_s)  # outside every lock
+            # a CachedSource is internally locked; bare sources need not
+            # be thread-safe
+            with _NULL_CTX if self.cache is not None else self._read_lock:
+                slots = read(self.source, indices)
+            if self.verify:
+                for pos, (index, blob) in enumerate(zip(indices, slots)):
+                    if not isinstance(blob, Exception):
+                        try:
+                            verify_sample(blob, sample_id=int(index))
+                        except Exception as exc:  # noqa: BLE001 — slot-isolated
+                            slots[pos] = exc
+            return slots
+        finally:
+            if self.admission is not None:
+                self.admission.release()
+
+    def _op_read(self, body: bytes, peer):
         index, tctx = protocol.unpack_read_traced(body)
         with self._handle_trace("read", tctx, index=index):
-            if self.admission is not None:
-                self.admission.admit(peer)  # raises BusyError on shed
-            try:
-                if self.service_delay_s > 0:
-                    time.sleep(self.service_delay_s)  # outside every lock
-                if self.cache is not None:
-                    blob = self.source.read(index)  # internally locked
-                else:
-                    with self._read_lock:  # sources need not be thread-safe
-                        blob = self.source.read(index)
-                    if self.verify:
-                        verify_sample(blob, sample_id=index)
-            finally:
-                if self.admission is not None:
-                    self.admission.release()
+            (blob,) = self._fetch(peer, (index,), _read_scalar)
+            if isinstance(blob, Exception):
+                raise blob
         self._record("serve.read.bytes", float(len(blob)))
         # scatter-gather: the blob buffer goes to sendmsg by reference
         return (protocol.ST_OK, [blob])
@@ -530,53 +549,18 @@ class DataServer(FrameServer):
     def _op_read_batch(self, body: bytes, peer):
         """Many blobs per round-trip, with per-slot error isolation.
 
-        Admission is charged once per batch (a batch is one unit of
-        server work to shed), the service delay is paid once (that is the
-        amortization the batch plane exists for), and each sample that
-        fails to read or verify becomes a ``SLOT_ERROR`` carrying the
-        same JSON payload an ``ST_ERROR`` frame would — the rest of the
-        batch is still delivered.
+        Each sample that fails to read or verify becomes a ``SLOT_ERROR``
+        carrying the same JSON payload an ``ST_ERROR`` frame would — the
+        rest of the batch is still delivered.
         """
         indices, tctx = protocol.unpack_indices_traced(body)
         with self._handle_trace("read_batch", tctx, n=len(indices)):
-            if self.admission is not None:
-                self.admission.admit(peer)  # raises BusyError on shed
-            try:
-                if self.service_delay_s > 0:
-                    time.sleep(self.service_delay_s)  # once per batch
-                if self.cache is not None:
-                    raw = read_batch_slots(self.source, indices)
-                else:
-                    with self._read_lock:  # sources need not be thread-safe
-                        raw = read_batch_slots(self.source, indices)
-            finally:
-                if self.admission is not None:
-                    self.admission.release()
-            trace_hex = (
-                format(observe.current_trace_id(), "x")
-                if observe.current_trace_id()
-                else None
-            )
             slots = []
             n_bytes = 0
-            for index, blob in zip(indices, raw):
-                if not isinstance(blob, Exception) and self.verify:
-                    try:
-                        verify_sample(blob, sample_id=int(index))
-                    except Exception as exc:  # noqa: BLE001 — slot-isolated
-                        blob = exc
+            for blob in self._fetch(peer, indices):
                 if isinstance(blob, Exception):
-                    payload = {
-                        "error": type(blob).__name__,
-                        "message": str(blob),
-                    }
-                    section = getattr(blob, "section", None)
-                    if section is not None:
-                        payload["section"] = section
-                    if trace_hex is not None:
-                        payload["trace_id"] = trace_hex
                     slots.append(
-                        (protocol.SLOT_ERROR, protocol.pack_json(payload))
+                        (protocol.SLOT_ERROR, self._error_payload(blob))
                     )
                     self._record("serve.read_batch.slot_errors")
                 else:

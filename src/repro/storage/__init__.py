@@ -1,6 +1,6 @@
 """Storage substrate: tiers, containers, staging, host-memory cache."""
 
-from repro.storage import filesystem, hdf5lite, sharding, staging, tfrecord
+from repro.storage import filesystem, sharding, staging, tfrecord
 from repro.storage.cache import CacheStats, SampleCache
 from repro.storage.filesystem import Tier, TierSpec, read_time, write_time
 from repro.storage.sharding import ShardedSource, ShardedWriter
@@ -8,7 +8,6 @@ from repro.storage.staging import StagingReport, stage_dataset
 
 __all__ = [
     "filesystem",
-    "hdf5lite",
     "sharding",
     "staging",
     "tfrecord",

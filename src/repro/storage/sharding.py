@@ -96,5 +96,10 @@ class ShardedSource:
         return len(self._entries)
 
     def read(self, index: int) -> bytes:
-        path, offset, length = self._entries[index]
+        # imported here: repro.pipeline.sources itself imports repro.storage
+        from repro.pipeline.sources import _check_index
+
+        path, offset, length = self._entries[
+            _check_index(index, len(self._entries))
+        ]
         return read_record_at(path, offset, length)

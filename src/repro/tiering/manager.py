@@ -263,11 +263,13 @@ class TierManager:
 
     # -- read path ---------------------------------------------------------
 
-    def lookup(self, key: object) -> bytes | None:
+    def lookup(self, key: object, sp=observe.NOOP_SPAN) -> bytes | None:
         """Serve ``key`` from the fastest level holding it; None on miss.
 
         Records the access (for promotion ranking), the per-level hit
-        counters, and the modeled read time of the serving level.
+        counters, and the modeled read time of the serving level.  ``sp``
+        (the caller's ``tier`` span, when it traces) is renamed to the
+        outcome: ``tier.hit`` with the serving level, or ``tier.miss``.
         """
         with self._lock:
             self._window[key] += 1
@@ -275,6 +277,7 @@ class TierManager:
             idx = self._residency.get(key)
             if idx is None:
                 self.stats.add("tiers.misses")
+                sp.name = "tier.miss"
                 return None
             level = self.levels[idx]
             blob = level.load(key)
@@ -283,38 +286,47 @@ class TierManager:
             self.stats.add(
                 f"tiers.{level.name}.read_s", read_time(level.spec, len(blob))
             )
+            sp.name = "tier.hit"
+            sp.annotate(level=level.name)
             return blob
+
+    def _charge_backing_read(self, blob: bytes) -> None:
+        with self._lock:
+            self.stats.add("tiers.backing.reads", float(len(blob)))
+            if self.backing_spec is not None:
+                self.stats.add(
+                    "tiers.backing.read_s",
+                    read_time(self.backing_spec, len(blob)),
+                )
+
+    def fill(self, key: object, blob: bytes) -> bytes:
+        """The miss path, given the blob just read from backing.
+
+        Charges the backing tier's modeled read time, verifies (when
+        configured — a corrupt blob raises before any admit) and admits
+        the blob so later epochs hit.
+        """
+        self._charge_backing_read(blob)
+        if self.verify:
+            verify_sample(blob, sample_id=key)
+        with observe.span("tier.admit", key=key, bytes=len(blob)):
+            self.admit(key, blob)
+        return blob
 
     def read(self, key: object) -> bytes:
         """Full read path: managed levels, then the backing store.
 
-        The miss path charges the backing tier's modeled read time,
-        verifies (when configured) and admits the blob so later epochs
-        hit.
+        What :class:`~repro.tiering.source.TieredSource` does for a source,
+        for callers holding only the manager: :meth:`lookup`, else
+        ``backing.read`` and :meth:`fill`.
         """
-        with observe.span("tier.hit", key=key) as sp:
-            blob = self.lookup(key)
-            if blob is not None:
-                idx = self._residency.get(key)
-                if idx is not None:
-                    sp.annotate(level=self.levels[idx].name)
-                return blob
-            sp.name = "tier.miss"  # renamed before commit: lookup missed
-            if self.backing is None:
-                raise KeyError(f"sample {key!r} resident in no tier and no "
-                               f"backing store is attached")
-            blob = self.backing.read(key)
-            with self._lock:
-                self.stats.add("tiers.backing.reads", float(len(blob)))
-                if self.backing_spec is not None:
-                    self.stats.add(
-                        "tiers.backing.read_s",
-                        read_time(self.backing_spec, len(blob)),
-                    )
-            if self.verify:
-                verify_sample(blob, sample_id=key)  # raises before any admit
-        with observe.span("tier.admit", key=key, bytes=len(blob)):
-            self.admit(key, blob)
+        with observe.span("tier", key=key) as sp:
+            blob = self.lookup(key, sp)
+            if blob is None:
+                if self.backing is None:
+                    raise KeyError(f"sample {key!r} resident in no tier and no "
+                                   f"backing store is attached")
+                blob = self.fill(key, self.backing.read(key))
         return blob
 
     # -- placement ---------------------------------------------------------
@@ -469,12 +481,7 @@ class TierManager:
                         if self._residency.get(key) is not None:
                             continue  # someone admitted it meanwhile
                         blob = self.backing.read(key)
-                        self.stats.add("tiers.backing.reads", float(len(blob)))
-                        if self.backing_spec is not None:
-                            self.stats.add(
-                                "tiers.backing.read_s",
-                                read_time(self.backing_spec, len(blob)),
-                            )
+                        self._charge_backing_read(blob)
                     else:
                         src_idx = self._level_by_name(move.src)
                         if self._residency.get(key) != src_idx:

@@ -21,18 +21,22 @@ for both codecs).
 
 from __future__ import annotations
 
-from repro.pipeline.sources import SampleSource
+from repro.pipeline.sources import SampleSource, WrapperSource
 from repro.tiering.manager import TierManager
 
 __all__ = ["TieredSource"]
 
 
-class TieredSource:
+class TieredSource(WrapperSource):
     """Serve samples through a :class:`TierManager` hierarchy.
 
     The manager's backing store is wired to ``inner`` (unless the caller
     attached one already), so misses stream from the inner source and hot
-    samples migrate toward the fast tiers between epochs.
+    samples migrate toward the fast tiers between epochs.  Resident
+    samples are served from their level (:meth:`TierManager.lookup`); the
+    non-resident ones of a group come from ``inner`` in one batched read
+    and are verified and admitted one by one (:meth:`TierManager.fill`) —
+    a corrupt one fails its own slot and is never admitted.
 
     Call :meth:`end_epoch` between epochs — or hand the manager to a
     :class:`~repro.tiering.worker.MigrationWorker` to do it in the
@@ -40,14 +44,13 @@ class TieredSource:
     next round of promotions.
     """
 
+    _span = "tier"
+
     def __init__(self, inner: SampleSource, manager: TierManager) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.manager = manager
         if manager.backing is None:
             manager.backing = inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
 
     def repoint(self, inner: SampleSource) -> None:
         """Swap the inner source without dropping tier residency.
@@ -62,8 +65,11 @@ class TieredSource:
         self.inner = inner
         self.manager.backing = inner
 
-    def read(self, index: int) -> bytes:
-        return self.manager.read(index)
+    def _before(self, index: int, sp):
+        return self.manager.lookup(index, sp), None
+
+    def _after(self, index: int, blob: bytes, state) -> bytes:
+        return self.manager.fill(index, blob)
 
     def end_epoch(self, max_moves: int | None = None) -> dict[str, int]:
         """Run one migration cycle and reset the epoch access window."""

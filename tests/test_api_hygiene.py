@@ -60,3 +60,33 @@ def test_package_exports_match_layout():
 
     for name in repro.__all__:
         importlib.import_module(f"repro.{name}")
+
+
+def _classes():
+    seen = set()
+    for module in MODULES:
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__.startswith("repro"):
+                seen.add(obj)
+    return sorted(seen, key=lambda c: (c.__module__, c.__qualname__))
+
+
+def test_one_read_contract():
+    """``read`` + optional ``read_batch_slots``; strict is a function.
+
+    No class may bring back a strict ``read_batch`` *method* (the module
+    function ``repro.pipeline.sources.read_batch`` derives it once), and
+    a class offering the batch method must be a whole source.
+    """
+    batch_native = []
+    for cls in _classes():
+        assert not hasattr(cls, "read_batch"), (
+            f"{cls.__module__}.{cls.__qualname__} defines a read_batch method"
+        )
+        if hasattr(cls, "read_batch_slots"):
+            batch_native.append(cls.__qualname__)
+            assert hasattr(cls, "read") and hasattr(cls, "__len__"), (
+                f"{cls.__module__}.{cls.__qualname__} has read_batch_slots "
+                f"but is not a full source"
+            )
+    assert "TfRecordSource" in batch_native and "TieredSource" in batch_native

@@ -31,12 +31,16 @@ from hypothesis import strategies as st
 
 from repro.accel.device import V100, SimulatedGpu
 from repro.conformance import check_batch_equivalence
+from repro.core.encoding.container import CorruptSampleError
 from repro.core.plugins import CosmoflowLutPlugin, DeepcamDeltaPlugin
 from repro.datasets import cosmoflow, deepcam
 from repro.pipeline import CachedSource, DataLoader, ListSource, TfRecordSource
+from repro.observe import TraceRecorder
 from repro.pipeline.sources import read_batch, read_batch_slots
+from repro.robust import FaultInjector, FaultPlan
 from repro.serve import DataServer, RemoteSource, protocol
-from repro.storage import SampleCache, tfrecord
+from repro.storage import SampleCache, TierSpec, tfrecord
+from repro.tiering import MemoryTier, TieredSource, TierLevel, TierManager
 
 
 @pytest.fixture(scope="module")
@@ -201,13 +205,10 @@ class TestBatchReplyBody:
 class _Recorder:
     """Minimal source wrapper counting which read paths were exercised."""
 
-    def __init__(self, blobs, with_batch=False, with_slots=False):
+    def __init__(self, blobs, with_slots=False):
         self._blobs = list(blobs)
         self.reads = 0
-        self.batch_calls = 0
         self.slot_calls = 0
-        if with_batch:
-            self.read_batch = self._read_batch
         if with_slots:
             self.read_batch_slots = self._read_batch_slots
 
@@ -217,10 +218,6 @@ class _Recorder:
     def read(self, index):
         self.reads += 1
         return self._blobs[index]
-
-    def _read_batch(self, indices):
-        self.batch_calls += 1
-        return [self._blobs[int(i)] for i in indices]
 
     def _read_batch_slots(self, indices):
         self.slot_calls += 1
@@ -232,9 +229,9 @@ class TestSourceBatchPlane:
         _, blobs = deepcam_fix
         src = ListSource(blobs)
         order = [3, 0, 3, 9, 1]
-        assert src.read_batch(order) == [blobs[i] for i in order]
+        assert read_batch(src, order) == [blobs[i] for i in order]
         with pytest.raises(IndexError):
-            src.read_batch([0, len(blobs)])
+            read_batch(src, [0, len(blobs)])
 
     def test_tfrecord_source_read_batch(self, tmp_path, deepcam_fix):
         _, blobs = deepcam_fix
@@ -244,23 +241,23 @@ class TestSourceBatchPlane:
                 w.write(b)
         with TfRecordSource(path) as src:
             order = [9, 2, 2, 0, 5]
-            assert src.read_batch(order) == [blobs[i] for i in order]
-            assert src.read_batch([]) == []
+            assert read_batch(src, order) == [blobs[i] for i in order]
+            assert read_batch(src, []) == []
 
     def test_cached_source_batches_only_the_misses(self, deepcam_fix):
         _, blobs = deepcam_fix
-        inner = _Recorder(blobs, with_batch=True)
+        inner = _Recorder(blobs, with_slots=True)
         src = CachedSource(inner, SampleCache(10**9))
-        assert src.read_batch([0, 1, 2]) == blobs[:3]
-        assert (inner.batch_calls, inner.reads) == (1, 0)
+        assert read_batch(src, [0, 1, 2]) == blobs[:3]
+        assert (inner.slot_calls, inner.reads) == (1, 0)
         # warm batch: served entirely from the cache, inner untouched
-        assert src.read_batch([2, 0, 1]) == [blobs[2], blobs[0], blobs[1]]
-        assert (inner.batch_calls, inner.reads) == (1, 0)
+        assert read_batch(src, [2, 0, 1]) == [blobs[2], blobs[0], blobs[1]]
+        assert (inner.slot_calls, inner.reads) == (1, 0)
         # partial: one inner batched read for exactly the misses
-        assert src.read_batch([1, 4, 0, 3]) == [
+        assert read_batch(src, [1, 4, 0, 3]) == [
             blobs[1], blobs[4], blobs[0], blobs[3]
         ]
-        assert (inner.batch_calls, inner.reads) == (2, 0)
+        assert (inner.slot_calls, inner.reads) == (2, 0)
 
     def test_helper_falls_back_to_a_read_loop(self, deepcam_fix):
         _, blobs = deepcam_fix
@@ -270,32 +267,158 @@ class TestSourceBatchPlane:
 
     def test_helper_prefers_the_batched_method(self, deepcam_fix):
         _, blobs = deepcam_fix
-        src = _Recorder(blobs, with_batch=True)
+        src = _Recorder(blobs, with_slots=True)
         assert read_batch(src, [0, 2]) == [blobs[0], blobs[2]]
-        assert (src.batch_calls, src.reads) == (1, 0)
+        assert (src.slot_calls, src.reads) == (1, 0)
 
     def test_slots_helper_dispatches_to_native_slots(self, deepcam_fix):
         _, blobs = deepcam_fix
-        src = _Recorder(blobs, with_batch=True, with_slots=True)
+        src = _Recorder(blobs, with_slots=True)
         assert read_batch_slots(src, [5, 6]) == [blobs[5], blobs[6]]
-        assert (src.slot_calls, src.batch_calls) == (1, 0)
-
-    def test_slots_helper_isolates_a_strict_batch_failure(self, deepcam_fix):
-        """One bad index fails its slot, not its batch-mates."""
-        _, blobs = deepcam_fix
-        src = _Recorder(blobs, with_batch=True)
-        bad = len(blobs) + 3
-        slots = read_batch_slots(src, [1, bad, 4])
-        assert slots[0] == blobs[1]
-        assert isinstance(slots[1], IndexError)
-        assert slots[2] == blobs[4]
-        # the strict batched call failed once, then the per-index loop ran
-        assert src.batch_calls == 1
-        assert src.reads == 3
+        assert (src.slot_calls, src.reads) == (1, 0)
 
     def test_slots_helper_empty_batch(self, deepcam_fix):
         _, blobs = deepcam_fix
         assert read_batch_slots(ListSource(blobs), []) == []
+
+
+class _Counting(ListSource):
+    """A batch-capable inner source that counts how it was asked."""
+
+    def __init__(self, blobs):
+        super().__init__(blobs)
+        self.scalar_reads = 0
+        self.batches = []  # the index list of each batched call
+
+    def read(self, index):
+        self.scalar_reads += 1
+        return super().read(index)
+
+    def read_batch_slots(self, indices):
+        self.batches.append([int(i) for i in indices])
+        return [ListSource.read(self, int(i)) for i in indices]
+
+
+def _bitflipped(blobs, index):
+    bad = bytearray(blobs[index])
+    bad[-5] ^= 1
+    return [bytes(bad) if i == index else b for i, b in enumerate(blobs)]
+
+
+class TestBatchNativeWrappers:
+    """Every wrapper amortizes a group: one inner batched read of exactly
+    the samples it cannot serve itself, each failure in its own slot."""
+
+    def _check_cached_group(self, slots, blobs, inner, cache):
+        assert inner.batches == [list(range(8))] and inner.scalar_reads == 0
+        assert (cache.stats.gets, cache.stats.misses) == (8, 8)
+        assert isinstance(slots[5], CorruptSampleError)
+        assert [s for i, s in enumerate(slots) if i != 5] == [
+            b for i, b in enumerate(blobs[:8]) if i != 5
+        ]
+        assert 5 not in cache and all(i in cache for i in range(8) if i != 5)
+
+    def test_cached_verify_fills_a_group_in_one_inner_batch(self, deepcam_fix):
+        _, blobs = deepcam_fix
+        inner = _Counting(_bitflipped(blobs, 5))
+        cache = SampleCache(1e9)
+        src = CachedSource(inner, cache, verify=True)
+        slots = read_batch_slots(src, range(8))
+        self._check_cached_group(slots, blobs, inner, cache)
+        # the second call refetches only the sample that was never cached
+        again = read_batch_slots(src, range(8))
+        assert inner.batches == [list(range(8)), [5]]
+        assert isinstance(again[5], CorruptSampleError)
+
+    def test_caching_server_fills_a_group_in_one_inner_batch(self, deepcam_fix):
+        _, blobs = deepcam_fix
+        inner = _Counting(_bitflipped(blobs, 5))
+        cache = SampleCache(1e9)
+        with DataServer(inner, cache=cache) as server:
+            with RemoteSource(*server.address) as remote:
+                slots = remote.read_batch_slots(range(8))
+                assert remote.stats.snapshot()["remote.read_batch"][0] == 1
+        self._check_cached_group(slots, blobs, inner, cache)
+
+    def test_cached_group_opens_one_cache_span(self, deepcam_fix):
+        _, blobs = deepcam_fix
+        src = CachedSource(ListSource(blobs), SampleCache(1e9))
+        src.read(2)
+        rec = TraceRecorder()
+        with rec.trace("root"):
+            read_batch_slots(src, [1, 2, 3])
+        (span,) = [s for s in rec.spans() if s.name == "cache"]
+        assert span.meta == {"n": 3, "hits": 1, "misses": 2}
+
+    def test_fault_injector_keeps_a_remote_group_in_one_frame(
+        self, deepcam_fix
+    ):
+        _, blobs = deepcam_fix
+        with DataServer(ListSource(blobs)) as server:
+            with RemoteSource(*server.address) as remote:
+                src = FaultInjector(remote, FaultPlan())
+                assert read_batch_slots(src, [0, 1, 2, 3]) == blobs[:4]
+            served = server.stats.snapshot()
+        assert served["serve.read_batch"][0] == 1
+        assert "serve.read" not in served
+
+    def test_fault_injector_group_equals_the_scalar_loop(self, deepcam_fix):
+        _, blobs = deepcam_fix
+        plan = FaultPlan(io_error_rate=0.3, truncate_rate=0.2,
+                         bitflip_rate=0.2, latency_rate=0.2,
+                         corrupt_ids={4}, seed=5)
+        order = [3, 0, 3, 9, 4, 1, 4, 7]
+
+        def outcome(slot):
+            return slot if isinstance(slot, bytes) else (type(slot), str(slot))
+
+        scalar = FaultInjector(ListSource(blobs), plan)
+        looped = []
+        for i in order:
+            try:
+                looped.append(scalar.read(i))
+            except OSError as exc:
+                looped.append(exc)
+        batched = FaultInjector(ListSource(blobs), plan)
+        slots = read_batch_slots(batched, order)
+        assert [outcome(s) for s in slots] == [outcome(s) for s in looped]
+        assert any(isinstance(s, OSError) for s in slots)  # faults did fire
+        assert batched.stats == scalar.stats
+
+    def test_tiered_source_batches_only_the_non_resident(self, deepcam_fix):
+        _, blobs = deepcam_fix
+        spec = TierSpec("ram", read_bw_gbps=1.0, write_bw_gbps=1.0,
+                        latency_s=0.0)
+        damaged = _bitflipped(blobs, 5)
+
+        def tiered(inner):
+            manager = TierManager(
+                [TierLevel(MemoryTier(spec), 1e9)], verify=True
+            )
+            return TieredSource(inner, manager), manager
+
+        inner = _Counting(damaged)
+        src, manager = tiered(inner)
+        warm = [0, 2]
+        assert read_batch_slots(src, warm) == [blobs[0], blobs[2]]
+        slots = read_batch_slots(src, range(8))
+        # one inner batched read of exactly the k=6 non-resident samples
+        assert inner.batches == [warm, [1, 3, 4, 5, 6, 7]]
+        assert inner.scalar_reads == 0
+        assert isinstance(slots[5], CorruptSampleError)
+        assert manager.lookup(5) is None  # never admitted
+        assert [s for i, s in enumerate(slots) if i != 5] == [
+            b for i, b in enumerate(blobs[:8]) if i != 5
+        ]
+        # the tier counters are those of the scalar loop over the same reads
+        loop_src, loop_manager = tiered(ListSource(damaged))
+        for i in warm + list(range(8)):
+            try:
+                loop_src.read(i)
+            except CorruptSampleError:
+                pass
+        loop_manager.lookup(5)
+        assert manager.stats.snapshot() == loop_manager.stats.snapshot()
 
 
 class TestCacheZeroCopy:
@@ -329,7 +452,6 @@ class TestBatchReadProperties:
         _, blobs = deepcam_fix
         src = ListSource(blobs)
         expect = [src.read(i) for i in order]
-        assert src.read_batch(order) == expect
         assert read_batch(src, order) == expect
         assert read_batch_slots(src, order) == expect
 
@@ -342,7 +464,7 @@ class TestBatchReadProperties:
         src = CachedSource(
             ListSource(blobs), SampleCache(3 * len(blobs[0]) + 1)
         )
-        assert src.read_batch(order) == [blobs[i] for i in order]
+        assert read_batch(src, order) == [blobs[i] for i in order]
 
     @given(order=st.lists(st.integers(0, 9), max_size=16))
     @settings(max_examples=25, deadline=None)
@@ -356,13 +478,13 @@ class TestBatchReadProperties:
                 for b in blobs:
                     w.write(b)
         with TfRecordSource(path) as src:
-            assert src.read_batch(order) == [blobs[i] for i in order]
+            assert read_batch(src, order) == [blobs[i] for i in order]
 
     def test_batch_of_one_and_empty(self, deepcam_fix):
         _, blobs = deepcam_fix
         src = ListSource(blobs)
-        assert src.read_batch([]) == []
-        assert src.read_batch([7]) == [blobs[7]]
+        assert read_batch(src, []) == []
+        assert read_batch(src, [7]) == [blobs[7]]
         assert read_batch_slots(src, [7]) == [blobs[7]]
 
 

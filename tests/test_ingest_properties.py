@@ -26,6 +26,7 @@ from repro.ingest import (
     recover_shard,
 )
 from repro.ingest.shards import RECORD_OVERHEAD, scan_shard
+from repro.pipeline.sources import read_batch
 
 payloads_st = st.lists(
     st.binary(min_size=0, max_size=60), min_size=1, max_size=12
@@ -90,7 +91,7 @@ def test_manifest_replay_is_byte_identical(payloads, publishes, shard_max):
             assert manifest.n_samples == len(frozen)
             with ManifestSource(tmp, manifest) as src:
                 assert len(src) == len(frozen)
-                assert src.read_batch(range(len(frozen))) == frozen
+                assert read_batch(src, range(len(frozen))) == frozen
         # ids are unique per distinct state and chain by parent
         distinct = {m.manifest_id: m for m, _ in published}
         chain = sorted(distinct.values(), key=lambda m: m.seq)

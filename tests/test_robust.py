@@ -298,6 +298,44 @@ class TestRetryingSource:
         assert src.stats.aborts == 1
         assert now[0] <= 2.5  # never slept past the budget
 
+    def test_whole_exchange_retry_honours_the_same_deadline(self, small_blobs):
+        """Scalar and group retries share one backoff loop, deadline included."""
+        _, blobs = small_blobs
+
+        class _DeadLink(ListSource):
+            def read(self, index):
+                raise OSError("link down")
+
+            def read_batch_slots(self, indices):
+                raise OSError("link down")
+
+        def retrying():
+            now = [0.0]
+
+            def sleep(s):
+                now[0] += s
+
+            return now, RetryingSource(
+                _DeadLink(blobs),
+                RetryPolicy(max_attempts=6, base_delay_s=1.0,
+                            max_delay_s=100.0, jitter=0.0, timeout_s=2.5),
+                sleep=sleep,
+                clock=lambda: now[0],
+            )
+
+        now, src = retrying()
+        with pytest.raises(OSError) as excinfo:
+            src.read_batch_slots([0, 1, 2])
+        assert now[0] <= 2.5  # 1 s slept; the 2 s delay would overshoot
+        assert excinfo.value.retry_attempts == 6
+        assert (src.stats.retries, src.stats.aborts) == (1, 1)
+
+        now, src = retrying()
+        with pytest.raises(OSError):
+            src.read(0)
+        assert now[0] == 1.0
+        assert (src.stats.retries, src.stats.aborts) == (1, 1)
+
     def test_verify_turns_bitflip_into_retry(self, small_blobs):
         _, blobs = small_blobs
         inj = FaultInjector(

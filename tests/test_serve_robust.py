@@ -22,6 +22,7 @@ from repro.core.encoding.container import CorruptSampleError
 from repro.core.plugins import DeepcamDeltaPlugin
 from repro.datasets import deepcam
 from repro.pipeline import DataLoader, ListSource
+from repro.pipeline.sources import read_batch
 from repro.robust import FaultInjector, FaultPlan, RetryingSource, RetryPolicy
 from repro.serve import DataServer, RemoteSource, ServerBusyError, protocol
 
@@ -400,7 +401,7 @@ class TestBatchWireFaults:
             assert exc_info.value.sample_id == (1, 4, 7)
             # CRC failure leaves the stream in sync: the retry rides the
             # same connection and every slot comes back clean
-            assert src.read_batch([1, 4, 7]) == [raw[1], raw[4], raw[7]]
+            assert read_batch(src, [1, 4, 7]) == [raw[1], raw[4], raw[7]]
             assert server.connections == 1
             src.close()
 
@@ -410,7 +411,7 @@ class TestBatchWireFaults:
             src = RemoteSource(*server.address)
             with pytest.raises(ConnectionError):
                 src.read_batch_slots([0, 2])
-            assert src.read_batch([0, 2]) == [raw[0], raw[2]]
+            assert read_batch(src, [0, 2]) == [raw[0], raw[2]]
             assert server.connections == 2
             src.close()
 
@@ -433,7 +434,7 @@ class TestBatchWireFaults:
             with pytest.raises(ServerBusyError) as exc_info:
                 src.read_batch_slots([0, 1])
             assert exc_info.value.retry_after_s == pytest.approx(0.05)
-            assert src.read_batch([0, 1]) == [raw[0], raw[1]]
+            assert read_batch(src, [0, 1]) == [raw[0], raw[1]]
             assert server.connections == 1
             src.close()
 

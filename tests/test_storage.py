@@ -11,7 +11,6 @@ from repro.storage import (
     SampleCache,
     Tier,
     TierSpec,
-    hdf5lite,
     read_time,
     stage_dataset,
     tfrecord,
@@ -106,52 +105,6 @@ class TestTierIncrementalAccounting:
         assert tier.has_room(94) and not tier.has_room(95)
         assert tier.delete("a")
         assert tier.used_bytes == 0
-
-
-class TestHdf5Lite:
-    def test_roundtrip_all(self, tmp_path):
-        path = tmp_path / "s.h5lt"
-        data = {
-            "climate/data": np.random.default_rng(0)
-            .normal(size=(4, 8, 8)).astype(np.float32),
-            "climate/labels": np.arange(64, dtype=np.int8).reshape(8, 8),
-        }
-        n = hdf5lite.write_file(path, data)
-        assert n == path.stat().st_size
-        out = hdf5lite.read_all(path)
-        for k in data:
-            assert np.array_equal(out[k], data[k])
-            assert out[k].dtype == data[k].dtype
-
-    def test_partial_read(self, tmp_path):
-        path = tmp_path / "s.h5lt"
-        hdf5lite.write_file(
-            path,
-            {"big": np.zeros(1000, np.float64), "small": np.ones(3, np.int32)},
-        )
-        small = hdf5lite.read_dataset(path, "small")
-        assert np.array_equal(small, np.ones(3, np.int32))
-
-    def test_list_datasets(self, tmp_path):
-        path = tmp_path / "s.h5lt"
-        hdf5lite.write_file(path, {"a": np.zeros(1), "b": np.zeros(2)})
-        assert hdf5lite.list_datasets(path) == ["a", "b"]
-
-    def test_missing_dataset(self, tmp_path):
-        path = tmp_path / "s.h5lt"
-        hdf5lite.write_file(path, {"a": np.zeros(1)})
-        with pytest.raises(KeyError):
-            hdf5lite.read_dataset(path, "nope")
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            hdf5lite.write_file(tmp_path / "x", {})
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            hdf5lite.read_all(path)
 
 
 class TestTfRecord:
