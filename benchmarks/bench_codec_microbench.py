@@ -74,7 +74,7 @@ def test_deepcam_plugin_roundtrip(benchmark, deepcam_data):
     blob = plugin.encode(deepcam_data.data, deepcam_data.label)
 
     def roundtrip():
-        return plugin.decode_cpu(blob)
+        return plugin.decode(blob)
 
     tensor, _ = benchmark(roundtrip)
     assert tensor.dtype == np.float16
@@ -85,7 +85,7 @@ def test_cosmoflow_plugin_roundtrip(benchmark, cosmo_data):
     blob = plugin.encode(cosmo_data.data, cosmo_data.label)
 
     def roundtrip():
-        return plugin.decode_cpu(blob)
+        return plugin.decode(blob)
 
     tensor, _ = benchmark(roundtrip)
     assert tensor.dtype == np.float16

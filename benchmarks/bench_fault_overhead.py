@@ -54,7 +54,7 @@ def test_verify_overhead_under_5pct_of_decode(deepcam_blob, cosmo_blob):
         "deepcam/delta": deepcam_blob,
         "cosmoflow/lut": cosmo_blob,
     }.items():
-        decode_s = _best_of(lambda: plugin.decode_cpu(blob))
+        decode_s = _best_of(lambda: plugin.decode(blob))
         verify_s = _best_of(lambda: verify_sample(blob))
         ratio = verify_s / decode_s
         print(
@@ -81,7 +81,7 @@ def test_retry_wrapper_overhead_under_5pct_of_decode(deepcam_blob):
         for i in range(len(plain)):
             source.read(i)
 
-    decode_s = _best_of(lambda: plugin.decode_cpu(blob)) * len(plain)
+    decode_s = _best_of(lambda: plugin.decode(blob)) * len(plain)
     plain_s = _best_of(lambda: sweep(plain))
     wrapped_s = _best_of(lambda: sweep(wrapped))
     overhead = max(wrapped_s - plain_s, 0.0)

@@ -66,7 +66,7 @@ def test_stat_update_under_5pct_of_decode(deepcam_blob, cosmo_blob):
         "deepcam/delta": deepcam_blob,
         "cosmoflow/lut": cosmo_blob,
     }.items():
-        decode_s = _best_of(lambda: plugin.decode_cpu(blob))
+        decode_s = _best_of(lambda: plugin.decode(blob))
         ratio = record_s / decode_s
         print(
             f"\n{name}: decode {decode_s * 1e6:.0f} µs, "
@@ -97,7 +97,7 @@ def test_instrumented_epoch_under_5pct_of_decode(deepcam_blob, num_workers):
 
     timed(None)
     timed(StatsRegistry())  # warm both paths before timing
-    decode_total = _best_of(lambda: plugin.decode_cpu(blob), inner=5) * n
+    decode_total = _best_of(lambda: plugin.decode(blob), inner=5) * n
     # paired, interleaved rounds: machine-load drift hits both variants of
     # a pair equally, and min-over-pairs picks the quietest round
     pairs = [(timed(None), timed(StatsRegistry())) for _ in range(9)]

@@ -69,7 +69,7 @@ def deepcam_demo() -> None:
 
     device = SimulatedGpu(spec=V100)
     decoded, _ = plugin.decode(enc_blob, device)
-    truth, _ = base.decode_cpu(base_blob)
+    truth, _ = base.decode(base_blob)
     err = np.abs(decoded.astype(np.float32) - truth)
     rel = err / np.maximum(np.abs(truth), 1e-12)
     print(f"GPU decode: dtype={decoded.dtype}; values with >10% error: "

@@ -97,7 +97,7 @@ def main() -> None:
     total = {c: 0 for c in range(deepcam.N_CLASSES)}
     for s in val_set:
         blob = plugin.encode(s.data, s.label)
-        tensor, mask = plugin.decode_cpu(blob)
+        tensor, mask = plugin.decode(blob)
         logits = model.forward(tensor[None].astype(np.float32),
                                training=False)
         pred = softmax(logits)[0].argmax(axis=0)

@@ -1,11 +1,11 @@
 """Simulated GPU device (substitute for V100/A100 hardware).
 
 The paper runs its decoders on NVIDIA V100 and A100 GPUs.  Offline we model
-the device analytically: kernels executed through :class:`SimulatedGpu`
-compute their *results* with real NumPy (bit-for-bit what a CUDA kernel
-would produce) while their *elapsed device time* comes from a roofline-style
-cost model parameterized with the paper's Table I numbers — SM count, HBM
-bandwidth, FP32/TensorCore throughput, memory capacity.
+the device analytically: decodes placed on :class:`SimulatedGpu` compute
+their *results* with the real NumPy decoders (bit-for-bit what a CUDA
+kernel would produce) while their *elapsed device time* comes from a
+roofline-style cost model parameterized with the paper's Table I numbers
+— SM count, HBM bandwidth, FP32/TensorCore throughput, memory capacity.
 
 The model charges each kernel ``launch_overhead + max(bytes/BW_eff,
 flops/FLOPS_eff)`` — bandwidth-bound for the gather/decode kernels the paper
@@ -85,9 +85,9 @@ class KernelLaunch:
 class SimulatedGpu:
     """One GPU instance: tracks memory allocation and accumulated busy time.
 
-    The device does not execute anything itself — kernels in
-    :mod:`repro.accel.kernels` compute results on the host and call
-    :meth:`charge` with their cost.  This separation keeps functional output
+    The device does not execute anything itself — a GPU-placed plugin
+    decodes on the host and calls :meth:`charge` with the cost its pure
+    ``kernel_cost`` formulas give.  This separation keeps functional output
     exact while making time a pure function of the spec.
     """
 

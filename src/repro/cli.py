@@ -182,7 +182,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     decoded_bytes = 0
     for blob in blobs:
-        tensor, _ = plugin.decode_cpu(blob)
+        tensor, _ = plugin.decode(blob)
         decoded_bytes += tensor.nbytes
     dt = time.perf_counter() - t0
     if args.json:
@@ -1180,12 +1180,7 @@ def cmd_graph(args) -> int:
     optimized = compile_graph(graph, optimize=True)
     report = None
     if args.check:
-        # the legacy-decode comparison only holds for the plugin's own
-        # default declaration (a holdout changes which samples survive)
-        legacy = None if args.holdout else plugin
-        report = check_graph_equivalence(
-            graph, epochs=args.epochs, legacy_plugin=legacy
-        )
+        report = check_graph_equivalence(graph, epochs=args.epochs)
 
     if args.json:
         out = {
@@ -1879,8 +1874,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "only) the optimizer hoists to a prefilter")
     gr.add_argument("--check", action="store_true",
                     help="with optimize: differentially execute naive vs "
-                         "optimized (and the legacy decode path) over the "
-                         "record file; non-zero exit on any bit mismatch")
+                         "optimized over the record file; non-zero exit on "
+                         "any bit mismatch")
     gr.add_argument("--epochs", type=int, default=2,
                     help="epochs the --check executes")
     gr.add_argument("--json", action="store_true",

@@ -3,10 +3,10 @@
 The paper's results depend on the two custom codecs producing
 *bit-identical* training inputs no matter which implementation tier decodes
 them.  The repo carries several implementations of each decode path — the
-loop reference (:mod:`repro.core.encoding.delta`), the vectorized
+loop reference (:mod:`repro.core.encoding.delta`) and the vectorized
 encoder/decoder (:mod:`~repro.core.encoding.delta_fast`,
-:mod:`~repro.core.encoding.delta_decode_fast`), and the simulated
-accelerator kernels (:mod:`repro.accel.kernels`) — and this package is the
+:mod:`~repro.core.encoding.delta_decode_fast`); both simulated-GPU
+placements run these same decoders — and this package is the
 machine-checked guarantee that they agree:
 
 * :mod:`repro.conformance.reference` — obviously-correct, loop-based

@@ -2,8 +2,8 @@
 
 One encoded sample is pushed through every decode path the repo ships —
 the independent loop reference (:mod:`repro.conformance.reference`), the
-production loop decoder, the vectorized decoder, the simulated accelerator
-kernels, and the container round-trip — and the outputs are compared as
+production loop decoder, the vectorized decoder, and the container
+round-trip — and the outputs are compared as
 raw bits (``tobytes()``), so NaN payloads and signed zeros count too.  The
 encoder side is differential as well: the loop and vectorized encoders
 must produce byte-identical streams.
@@ -22,8 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.accel.device import SimulatedGpu, V100
-from repro.accel.kernels import k_delta_decode, k_lut_decode
 from repro.conformance.reference import (
     decode_delta_reference,
     decode_lut_reference,
@@ -138,30 +136,21 @@ def compare_against(
     return mismatches
 
 
-def _default_device() -> SimulatedGpu:
-    return SimulatedGpu(spec=V100)
-
-
 # --------------------------------------------------------------------------
 # delta codec
 # --------------------------------------------------------------------------
 
-def delta_decode_outputs(
-    enc: DeltaEncodedImage, device: SimulatedGpu | None = None
-) -> dict[str, np.ndarray]:
+def delta_decode_outputs(enc: DeltaEncodedImage) -> dict[str, np.ndarray]:
     """FP16 output of every delta decode path for one encoded channel.
 
     Keys: ``reference`` (loop reference from the format doc), ``loop``
     (:func:`~repro.core.encoding.delta.decode_image`), ``vectorized``
-    (:func:`~repro.core.encoding.delta_decode_fast.decode_image_fast`),
-    ``accel`` (:func:`~repro.accel.kernels.k_delta_decode`).
+    (:func:`~repro.core.encoding.delta_decode_fast.decode_image_fast`).
     """
-    device = device or _default_device()
     return {
         REFERENCE: decode_delta_reference(enc),
         "loop": decode_image(enc),
         "vectorized": decode_image_fast(enc),
-        "accel": k_delta_decode(device, [enc])[0],
     }
 
 
@@ -185,21 +174,19 @@ def _delta_enc_equal(a: DeltaEncodedImage, b: DeltaEncodedImage) -> str | None:
 
 
 def check_delta_case(
-    image: np.ndarray,
-    config: DeltaCodecConfig | None = None,
-    device: SimulatedGpu | None = None,
+    image: np.ndarray, config: DeltaCodecConfig | None = None
 ) -> CaseReport:
     """Encode one channel with both encoders, decode with every path.
 
     Checks (1) loop and vectorized encoders emit byte-identical streams,
     (2) the container round-trip preserves the stream exactly, and
-    (3) all four decode paths agree bit-for-bit on the FP16 output.
+    (3) all three decode paths agree bit-for-bit on the FP16 output.
     """
     cfg = config or DeltaCodecConfig()
     report = CaseReport(codec="delta")
     enc = encode_image(image, cfg)
     report.impls = ["encoder-loop", "encoder-vectorized", "container",
-                    REFERENCE, "loop", "vectorized", "accel"]
+                    REFERENCE, "loop", "vectorized"]
 
     reason = _delta_enc_equal(enc, encode_image_fast(image, cfg))
     if reason is not None:
@@ -215,9 +202,7 @@ def check_delta_case(
             Mismatch("container", "encoder-loop", f"round-trip: {reason}")
         )
 
-    report.mismatches.extend(
-        compare_against(delta_decode_outputs(enc, device))
-    )
+    report.mismatches.extend(compare_against(delta_decode_outputs(enc)))
     return report
 
 
@@ -227,17 +212,15 @@ def check_delta_case(
 
 def lut_decode_outputs(
     enc: LutEncodedSample,
-    device: SimulatedGpu | None = None,
     table_func: Callable[[np.ndarray], np.ndarray] | None = None,
     dtype: np.dtype | str | None = None,
 ) -> dict[str, np.ndarray]:
     """Output of every LUT decode path for one encoded sample.
 
     With ``table_func`` the fused-operator path is exercised: the operator
-    is applied to the tables first (``apply_to_tables``) for the host
-    decoders, while the accelerator kernel performs its own fusion.
+    is applied to the tables first (``apply_to_tables``), then both
+    decoders expand the folded tables.
     """
-    device = device or _default_device()
     work = enc
     if table_func is not None:
         work = apply_to_tables(enc, table_func, out_dtype=dtype)
@@ -247,9 +230,6 @@ def lut_decode_outputs(
     return {
         REFERENCE: decode_lut_reference(work, dtype=out_dtype),
         "gather": decode_sample(work, dtype=out_dtype),
-        "accel": k_lut_decode(
-            device, enc, table_func=table_func, out_dtype=out_dtype
-        ),
     }
 
 
@@ -277,9 +257,7 @@ def _lut_enc_equal(a: LutEncodedSample, b: LutEncodedSample) -> str | None:
 
 
 def check_lut_case(
-    volume: np.ndarray,
-    config: LutCodecConfig | None = None,
-    device: SimulatedGpu | None = None,
+    volume: np.ndarray, config: LutCodecConfig | None = None
 ) -> CaseReport:
     """Encode one volume, decode with every path, plain and fused.
 
@@ -291,8 +269,8 @@ def check_lut_case(
     cfg = config or LutCodecConfig()
     report = CaseReport(codec="lut")
     enc = encode_sample(volume, cfg)
-    report.impls = ["container", REFERENCE, "gather", "accel",
-                    "fused-" + REFERENCE, "fused-gather", "fused-accel"]
+    report.impls = ["container", REFERENCE, "gather",
+                    "fused-" + REFERENCE, "fused-gather"]
 
     blob = container.pack_lut_sample(enc, np.zeros(1, dtype=np.float32))
     _, enc2, _, _ = container.unpack_sample(blob)
@@ -302,11 +280,9 @@ def check_lut_case(
             Mismatch("container", "encoder", f"round-trip: {reason}")
         )
 
-    report.mismatches.extend(compare_against(lut_decode_outputs(enc, device)))
+    report.mismatches.extend(compare_against(lut_decode_outputs(enc)))
     with np.errstate(invalid="ignore", divide="ignore"):
-        fused = lut_decode_outputs(
-            enc, device, table_func=np.log1p, dtype=np.float16
-        )
+        fused = lut_decode_outputs(enc, table_func=np.log1p, dtype=np.float16)
     report.mismatches.extend(
         Mismatch("fused-" + m.impl, "fused-" + m.against, m.detail)
         for m in compare_against(fused)
@@ -318,41 +294,22 @@ def check_lut_case(
 # batched decode (the batch plane's conformance gate)
 # --------------------------------------------------------------------------
 
-def check_batch_equivalence(
-    plugin,
-    blobs: list[bytes],
-    device: SimulatedGpu | None = None,
-) -> CaseReport:
-    """Prove a plugin's batched decode bit-identical to the scalar loop.
+def check_batch_equivalence(plugin, blobs: list[bytes]) -> CaseReport:
+    """Prove a plugin's group decode bit-identical to the scalar loop.
 
-    Runs ``plugin.decode_batch(blobs)`` against
-    ``[plugin.decode(b) for b in blobs]`` and compares every tensor and
-    label as raw bytes.  This is the batch plane's contract
-    (:meth:`~repro.core.plugins.base.SamplePlugin.decode_batch`): a
-    vectorized multi-sample decode — one stacked table gather, one
-    mode-grouped line pass — may change *when* work happens, never a
-    single output bit.  Callers exercise both the vectorizable case
-    (same-shape blobs) and the scalar-fallback case (mixed shapes); the
-    check holds identically for both.
-
-    When ``device`` is given, each path runs on a *fresh* simulated
-    device of the same spec and the kernel accounting must agree:
-    total bytes moved and flops are identical (batching never changes
-    modeled physics), and the batched path's busy seconds may undercut
-    the scalar loop's by at most the launch overheads of the kernel
-    launches it elided — launch amortization is all it may claim, and it
-    may never *add* busy time.
+    Runs ``plugin.decode_batch(blobs)`` — one ``decode_group`` call —
+    against ``[plugin.decode(b) for b in blobs]`` — one group of one
+    each — and compares every tensor and label as raw bytes.  This is
+    the batch plane's contract: a vectorized multi-sample decode (one
+    stacked table gather, one mode-grouped line pass) may change *when*
+    work happens, never a single output bit.  Callers exercise both the
+    vectorizable case (same-shape blobs) and the per-sample case (mixed
+    shapes); the check holds identically for both.
     """
     report = CaseReport(codec="batch")
     report.impls = ["scalar", "batched"]
-
-    dev_scalar = dev_batch = None
-    if device is not None:
-        dev_scalar = SimulatedGpu(spec=device.spec)
-        dev_batch = SimulatedGpu(spec=device.spec)
-
-    scalar = [plugin.decode(blob, dev_scalar) for blob in blobs]
-    batched = plugin.decode_batch(list(blobs), dev_batch)
+    scalar = [plugin.decode(blob) for blob in blobs]
+    batched = plugin.decode_batch(list(blobs))
 
     if len(batched) != len(scalar):
         report.mismatches.append(Mismatch(
@@ -371,34 +328,6 @@ def check_batch_equivalence(
                 Mismatch(m.impl, m.against, f"sample {i} {fieldname}: {m.detail}")
                 for m in ms
             )
-
-    if dev_scalar is not None:
-        moved = (
-            sum(k.bytes_moved for k in dev_scalar.launches),
-            sum(k.bytes_moved for k in dev_batch.launches),
-        )
-        flops = (
-            sum(k.flops for k in dev_scalar.launches),
-            sum(k.flops for k in dev_batch.launches),
-        )
-        if moved[0] != moved[1] or flops[0] != flops[1]:
-            report.mismatches.append(Mismatch(
-                "batched", "scalar",
-                f"device physics differ: bytes {moved[1]} != {moved[0]} "
-                f"or flops {flops[1]} != {flops[0]} (batching must "
-                f"amortize launches, not change modeled work)",
-            ))
-        saved = len(dev_scalar.launches) - len(dev_batch.launches)
-        max_gap = saved * device.spec.launch_overhead_s
-        gap = dev_scalar.busy_seconds - dev_batch.busy_seconds
-        tol = 1e-12 + 1e-9 * dev_scalar.busy_seconds
-        if saved < 0 or gap < -tol or gap > max_gap + tol:
-            report.mismatches.append(Mismatch(
-                "batched", "scalar",
-                f"busy gap {gap!r}s over {saved} elided launches; batching "
-                f"may save at most launch_overhead_s per elided launch "
-                f"({max_gap!r}s) and may never add busy time",
-            ))
     return report
 
 
@@ -406,12 +335,7 @@ def check_batch_equivalence(
 # compiled preprocessing graphs
 # --------------------------------------------------------------------------
 
-def check_graph_equivalence(
-    graph,
-    device: SimulatedGpu | None = None,
-    epochs: int = 1,
-    legacy_plugin=None,
-) -> CaseReport:
+def check_graph_equivalence(graph, device=None, epochs: int = 1) -> CaseReport:
     """Prove an optimized compiled plan value-equal to the naive one.
 
     Compiles ``graph`` (a :class:`repro.graph.ir.PipelineGraph`) twice —
@@ -419,19 +343,15 @@ def check_graph_equivalence(
     every sample of the graph's source through both plans for ``epochs``
     epochs.  The two executions must agree on *which* samples survive
     filtering, in what order, and on every surviving tensor and label
-    bit-for-bit.  With ``legacy_plugin`` the naive plan is additionally
-    compared against the plugin's hand-written ``decode`` path — the
-    check that the compiler re-derives, rather than merely imitates, the
-    paper's fused decode.  (Only meaningful when the graph declares the
-    plugin's default preprocessing; filtered graphs skip the legacy
-    comparison for dropped samples automatically.)
+    bit-for-bit.  ``device`` is the simulated GPU both plans' decode
+    ops charge.  (A plugin's own ``decode`` is the optimized plan of its
+    declaration by construction: both fuse the plugin's ``steps`` into
+    one ``decode_group`` call.)
     """
     from repro.graph.compiler import compile_graph
 
     report = CaseReport(codec="graph")
-    report.impls = ["naive", "optimized"] + (
-        ["legacy"] if legacy_plugin is not None else []
-    )
+    report.impls = ["naive", "optimized"]
     naive = compile_graph(graph, optimize=False, device=device)
     optimized = compile_graph(graph, optimize=True, device=device)
     source = graph.find("read").source
@@ -478,25 +398,6 @@ def check_graph_equivalence(
                 f"epoch {epoch}: survivor order "
                 f"{opt_survivors} != {survivors}",
             ))
-
-        if legacy_plugin is not None:
-            for i in survivors:
-                tensor, label = legacy_plugin.decode(source.read(i), device)
-                ms = compare_against(
-                    {"legacy": outputs[i].tensor, "naive": tensor},
-                    against="legacy",
-                )
-                ms += compare_against(
-                    {"legacy": outputs[i].label, "naive": label},
-                    against="legacy",
-                )
-                report.mismatches.extend(
-                    Mismatch(
-                        m.impl, m.against,
-                        f"epoch {epoch} sample {i}: {m.detail}",
-                    )
-                    for m in ms
-                )
     return report
 
 

@@ -28,7 +28,6 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.accel.device import SimulatedGpu
 from repro.conformance.differential import (
     CaseReport,
     check_delta_case,
@@ -279,19 +278,16 @@ def _load_crash(path: Path) -> tuple[str, np.ndarray, dict]:
 
 
 def _run_case(
-    codec: str,
-    data: np.ndarray,
-    config: DeltaCodecConfig | LutCodecConfig,
-    device: SimulatedGpu | None,
+    codec: str, data: np.ndarray, config: DeltaCodecConfig | LutCodecConfig
 ) -> CaseReport:
     # NaN/Inf/overflow inputs are the *point* of several fuzz kinds; the
     # codecs handle them by design, so their numeric warnings are noise
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         if codec == "delta":
-            return check_delta_case(data, config, device)
+            return check_delta_case(data, config)
         if codec == "lut":
-            return check_lut_case(data, config, device)
+            return check_lut_case(data, config)
     raise ValueError(f"unknown codec {codec!r}")
 
 
@@ -301,7 +297,6 @@ def fuzz(
     budget_s: float | None = None,
     seed: int = 0,
     crash_dir: Path | str | None = None,
-    device: SimulatedGpu | None = None,
 ) -> FuzzReport:
     """Run the structured differential fuzzer for one codec.
 
@@ -327,7 +322,7 @@ def fuzz(
         data, cfg, kind = gen(rng)
         report.by_kind[kind] = report.by_kind.get(kind, 0) + 1
         try:
-            case = _run_case(codec, data, cfg, device)
+            case = _run_case(codec, data, cfg)
         except Exception as exc:
             # a decode-path crash is as much a conformance failure as a
             # bit mismatch; FailedItem gives it a serializable form
@@ -356,9 +351,7 @@ def fuzz(
     return report
 
 
-def replay_crashes(
-    crash_dir: Path | str, device: SimulatedGpu | None = None
-) -> FuzzReport:
+def replay_crashes(crash_dir: Path | str) -> FuzzReport:
     """Re-run every saved crash case through the differential harness.
 
     Returns an aggregate report; a corpus directory with no ``.npz``
@@ -380,7 +373,7 @@ def replay_crashes(
         kind = meta.get("kind", "?")
         report.by_kind[kind] = report.by_kind.get(kind, 0) + 1
         try:
-            case = _run_case(codec, data, cfg, device)
+            case = _run_case(codec, data, cfg)
         except Exception as exc:
             report.crashes.append({
                 **FailedItem(index=report.cases - 1, error=exc).to_json(),

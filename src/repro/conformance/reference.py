@@ -4,8 +4,8 @@ These decoders deliberately share **no code** with the production
 implementations: every byte is interpreted with scalar reads and explicit
 Python loops following ``docs/format-delta.md`` and ``docs/format-lut.md``
 line by line.  They are the independent ground truth the differential
-harness (:mod:`repro.conformance.differential`) measures the vectorized
-decoders and accelerator kernels against — slow, but obviously correct.
+harness (:mod:`repro.conformance.differential`) measures the loop and
+vectorized decoders against — slow, but obviously correct.
 
 Bit-exactness rules the docs pin down and these functions follow:
 

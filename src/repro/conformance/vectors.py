@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.accel.device import SimulatedGpu
 from repro.conformance.differential import (
     compare_against,
     delta_config_to_dict,
@@ -396,9 +395,7 @@ class VectorReport:
         }
 
 
-def _verify_case(
-    vec_dir: Path, entry: dict, device: SimulatedGpu | None
-) -> VectorCaseResult:
+def _verify_case(vec_dir: Path, entry: dict) -> VectorCaseResult:
     res = VectorCaseResult(name=entry["name"], codec=entry["codec"], ok=True)
 
     def fail(msg: str) -> None:
@@ -440,14 +437,14 @@ def _verify_case(
 
     try:
         if codec == "delta":
-            outputs = delta_decode_outputs(payload[0], device)
+            outputs = delta_decode_outputs(payload[0])
         elif entry.get("transform") == "log1p-fp16":
             with np.errstate(invalid="ignore", divide="ignore"):
                 outputs = lut_decode_outputs(
-                    payload, device, table_func=np.log1p, dtype=np.float16
+                    payload, table_func=np.log1p, dtype=np.float16
                 )
         else:
-            outputs = lut_decode_outputs(payload, device)
+            outputs = lut_decode_outputs(payload)
     except Exception as exc:
         fail(f"decode failed: {exc!r}")
         return res
@@ -503,9 +500,7 @@ def _verify_batch_case(
     return res
 
 
-def verify_vectors(
-    vec_dir: Path | str, device: SimulatedGpu | None = None
-) -> VectorReport:
+def verify_vectors(vec_dir: Path | str) -> VectorReport:
     """Verify a golden-vector corpus without regenerating anything.
 
     Checks manifest digests, then decodes every blob through every
@@ -530,5 +525,5 @@ def verify_vectors(
         ))
         return report
     for entry in manifest["cases"]:
-        report.results.append(_verify_case(vec_dir, entry, device))
+        report.results.append(_verify_case(vec_dir, entry))
     return report

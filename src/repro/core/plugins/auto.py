@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.accel.device import SimulatedGpu, V100
-from repro.accel.kernels import k_delta_decode, k_lut_decode
-from repro.accel.warp import estimate_delta_decode_time
 from repro.core.encoding import container
 from repro.core.encoding.delta import DeltaCodecConfig
-from repro.core.encoding.delta_decode_fast import decode_image_fast
 from repro.core.encoding.delta_fast import encode_image_fast
 from repro.core.encoding.lut import LutCodecConfig, decode_sample, encode_sample
 from repro.core.plugins.base import SampleCost, SamplePlugin
+from repro.core.plugins.cosmoflow import lut_kernel_cost
+from repro.core.plugins.deepcam import _decode_delta, delta_kernel_cost
 
 __all__ = ["AutoPlugin", "CodecChoice", "choose_codec"]
 
@@ -150,27 +148,15 @@ class AutoPlugin(SamplePlugin):
             extra={"auto_reason": choice.reason},
         )
 
-    def decode_cpu(self, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    def _unpack(self, blob: bytes):
         codec, payload, label, _ = container.unpack_sample(blob)
-        if codec == "lut":
-            return decode_sample(payload, dtype=np.float16), label
-        if codec == "delta":
-            H, W = payload[0].shape
-            out = np.empty((len(payload), H, W), dtype=np.float16)
-            for c, enc in enumerate(payload):
-                decode_image_fast(enc, out=out[c])
-            return out, label
-        return payload, label
+        return (codec, payload), label
 
-    def decode_gpu(
-        self, blob: bytes, device: SimulatedGpu
-    ) -> tuple[np.ndarray, np.ndarray]:
-        codec, payload, label, _ = container.unpack_sample(blob)
-        if codec == "lut":
-            return k_lut_decode(device, payload, out_dtype=np.float16), label
-        if codec == "delta":
-            return k_delta_decode(device, payload), label
-        return payload, label
+    def decode_group(self, blobs, func=None, device=None) -> list:
+        """Decode each sample by its container's codec; ``func`` runs after."""
+        return self._decode_slots(
+            blobs, device, one=_decode_any, cost=_kernel_cost, post=func
+        )
 
     def measure(self, data: np.ndarray, label: np.ndarray) -> SampleCost:
         blob = self.encode(data, label)
@@ -179,23 +165,28 @@ class AutoPlugin(SamplePlugin):
             int(data.size) * 2 if codec in ("lut", "delta")
             else int(np.ascontiguousarray(data).nbytes)
         )
-        if self.placement == "gpu" and codec != "raw":
-            gpu_s = 0.0
-            if codec == "delta":
-                _, payload, _, _ = container.unpack_sample(blob)
-                gpu_s = estimate_delta_decode_time(payload, V100)
-            else:
-                device = SimulatedGpu(spec=V100)
-                _, payload, _, _ = container.unpack_sample(blob)
-                k_lut_decode(device, payload, out_dtype=np.float16)
-                gpu_s = device.busy_seconds
-            return SampleCost(
-                stored_bytes=len(blob), h2d_bytes=len(blob),
-                decoded_bytes=decoded_bytes, cpu_preprocess_elems=0,
-                gpu_decode_seconds=gpu_s,
-            )
-        return SampleCost(
+        return self._gpu_cost(blob, decoded_bytes) or SampleCost(
             stored_bytes=len(blob), h2d_bytes=decoded_bytes,
             decoded_bytes=decoded_bytes,
             cpu_preprocess_elems=0 if codec == "raw" else int(data.size),
         )
+
+
+def _decode_any(unpacked) -> np.ndarray:
+    """FP16 for the encoded representations, the stored array for raw."""
+    codec, payload = unpacked
+    if codec == "lut":
+        return decode_sample(payload, dtype=np.float16)
+    if codec == "delta":
+        return _decode_delta(payload)
+    return payload
+
+
+def _kernel_cost(unpacked, out: np.ndarray, spec) -> list:
+    """The codec's kernel cost; a raw payload costs the device nothing."""
+    codec, payload = unpacked
+    if codec == "lut":
+        return lut_kernel_cost(payload, out)
+    if codec == "delta":
+        return delta_kernel_cost(payload, out, spec)
+    return []

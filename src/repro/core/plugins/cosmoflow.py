@@ -22,18 +22,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.device import SimulatedGpu, V100
-from repro.accel.kernels import k_lut_decode, k_lut_decode_batch
 from repro.core.encoding import container
 from repro.core.encoding.lut import (
     LutCodecConfig,
+    apply_to_tables,
     decode_sample,
     decode_samples,
     encode_sample,
 )
-from repro.core.plugins.base import SampleCost, SamplePlugin
+from repro.core.plugins.base import FusedStep, SampleCost, SamplePlugin
 
-__all__ = ["CosmoflowBaselinePlugin", "CosmoflowLutPlugin", "log_transform"]
+__all__ = [
+    "CosmoflowBaselinePlugin",
+    "CosmoflowLutPlugin",
+    "log_transform",
+    "lut_kernel_cost",
+]
 
 
 def log_transform(counts: np.ndarray) -> np.ndarray:
@@ -41,48 +45,52 @@ def log_transform(counts: np.ndarray) -> np.ndarray:
     return np.log1p(counts.astype(np.float32))
 
 
+def lut_kernel_cost(enc, out: np.ndarray, table_pass: bool = False) -> list:
+    """Device launches of one LUT-encoded sample's decode into ``out``.
+
+    With ``table_pass`` the fused chain first runs over the table entries
+    (K·C flops, negligible bytes) — the paper's reordering that touches
+    hundreds of unique values instead of millions of voxels; then one
+    coalesced gather reads the keys and the (folded) values and writes
+    ``out`` ("no dependencies between threads").
+    """
+    entries = sum(t.values.size for t in enc.tables)
+    value_bytes = sum(t.values.nbytes for t in enc.tables)
+    launches = []
+    if table_pass:
+        launches.append(
+            ("lut_table_preproc", 2 * value_bytes, float(4 * entries), None)
+        )
+        value_bytes = entries * out.dtype.itemsize  # the folded tables
+    key_bytes = sum(t.keys.nbytes for t in enc.tables)
+    launches.append(
+        ("lut_gather", key_bytes + value_bytes + out.nbytes, 0.0, None)
+    )
+    return launches
+
+
 class CosmoflowBaselinePlugin(SamplePlugin):
-    """Raw int16 counts + full-volume CPU ``log1p`` — the paper's baseline."""
+    """Raw int16 counts + full-volume CPU ``log1p`` — the paper's baseline.
+
+    The raw container has no table to fold operators into, so fusing
+    ``log1p`` into decode only saves op dispatch (``fused_cost_hint``
+    stays 1.0): the cost model correctly sees no decode win for the
+    baseline, which is the paper's point.
+    """
 
     name = "base"
     placement = "cpu"
+    graph_name = "cosmoflow-base"
+    steps = (FusedStep("log1p", log_transform),)
 
     def encode(self, data: np.ndarray, label: np.ndarray) -> bytes:
         return container.pack_raw_sample(
             np.ascontiguousarray(data, dtype=np.int16), label
         )
 
-    def decode_cpu(self, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
-        codec, data, label, _ = container.unpack_sample(blob)
-        if codec != "raw":
-            raise ValueError(f"baseline plugin got a {codec!r} container")
-        return log_transform(data), label
-
-    def decode_gpu(self, blob, device):  # pragma: no cover - API completeness
-        raise NotImplementedError("the baseline preprocesses on the CPU only")
-
-    def decode_raw(self, blob: bytes, device=None):
-        """Native decode: the stored int16 counts, before ``log1p``."""
-        codec, data, label, _ = container.unpack_sample(blob)
-        if codec != "raw":
-            raise ValueError(f"baseline plugin got a {codec!r} container")
-        return data, label
-
-    def declare_preprocessing(self, source, verify_reads: bool = False):
-        """``read → decode(int16) → log1p`` — preprocessing as graph nodes.
-
-        The raw container has no table to fold operators into, so fusion
-        only saves op dispatch (``fused_cost_hint`` stays 1.0): the cost
-        model correctly sees no decode win for the baseline, which is
-        the paper's point.
-        """
-        from repro.graph.ir import PipelineGraph
-
-        graph = PipelineGraph(name="cosmoflow-base")
-        graph.read(source, verify=verify_reads)
-        graph.decode(self, fusable=True, fused_cost_hint=1.0)
-        graph.elementwise("log1p", log_transform, cost_hint=1.0)
-        return graph
+    def decode_group(self, blobs, func=None, device=None) -> list:
+        """The stored int16 counts; ``func`` runs as one pass over each."""
+        return self._decode_slots(blobs, device, one=lambda d: d, post=func)
 
     def measure(self, data: np.ndarray, label: np.ndarray) -> SampleCost:
         blob = self.encode(data, label)
@@ -96,7 +104,20 @@ class CosmoflowBaselinePlugin(SamplePlugin):
 
 
 class CosmoflowLutPlugin(SamplePlugin):
-    """Lookup-table storage with fused ``log1p``-on-table decode."""
+    """Lookup-table storage with fused ``log1p``-on-table decode.
+
+    Its chain is ``[log1p] → fp16``: :meth:`decode` folds it into the
+    tables before one gather, and :meth:`declare_preprocessing` declares
+    the same steps as graph nodes, which the optimizer's fusion pass
+    folds back in — one fused path, asserted against the golden vectors.
+    """
+
+    codec = "lut"
+    #: nominal table-entries-to-voxels ratio used as the fused-step cost
+    #: hint: the paper's samples have a few hundred unique groups per
+    #: multi-million-voxel volume, so an operator fused into the table is
+    #: orders of magnitude cheaper than a full pass (ranking hint only)
+    _TABLE_FRACTION = fused_cost_hint = 1.0 / 64.0
 
     def __init__(
         self,
@@ -107,146 +128,49 @@ class CosmoflowLutPlugin(SamplePlugin):
         if placement not in ("cpu", "gpu"):
             raise ValueError("placement must be 'cpu' or 'gpu'")
         self.placement = placement
-        self.name = "plugin" if placement == "gpu" else "plugin-cpu"
+        self.name = "plugin-cpu" if placement == "cpu" else "plugin"
+        self.graph_name = f"cosmoflow-lut-{placement}"
         self.config = config or LutCodecConfig()
         self.apply_log = apply_log
+        self.steps = (
+            (FusedStep("log1p", log_transform),) if apply_log else ()
+        ) + (FusedStep("fp16", out_dtype=np.dtype(np.float16), cost_hint=0.5),)
 
     def encode(self, data: np.ndarray, label: np.ndarray) -> bytes:
         enc = encode_sample(np.ascontiguousarray(data, dtype=np.int16), self.config)
         return container.pack_lut_sample(enc, label)
 
-    def _unpack(self, blob: bytes):
-        codec, enc, label, _ = container.unpack_sample(blob)
-        if codec != "lut":
-            raise ValueError(f"lut plugin got a {codec!r} container")
-        return enc, label
-
-    def decode_cpu(self, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
-        enc, label = self._unpack(blob)
-        if self.apply_log:
-            from repro.core.encoding.lut import apply_to_tables
-
-            # fused: log over table entries, FP16 cast, then one gather
-            enc = apply_to_tables(enc, log_transform, out_dtype=np.float16)
-            return decode_sample(enc, dtype=np.float16), label
-        return decode_sample(enc, dtype=np.float16), label
-
-    def decode_gpu(
-        self, blob: bytes, device: SimulatedGpu
-    ) -> tuple[np.ndarray, np.ndarray]:
-        enc, label = self._unpack(blob)
-        func = log_transform if self.apply_log else None
-        return k_lut_decode(device, enc, table_func=func, out_dtype=np.float16), label
-
-    def decode_batch(self, blobs, device=None):
-        """Vectorized multi-sample decode: one stacked table gather.
-
-        Fused preprocessing still runs per *table* (cheap); the expansion
-        gathers every sample's voxels out of one concatenated table array
-        (:func:`decode_samples`).  Mixed-shape batches fall back to the
-        scalar loop; both paths are bit-identical to per-sample
-        :meth:`decode`.
-        """
-        if not blobs:
-            return []
-        unpacked = [self._unpack(blob) for blob in blobs]
-        encs = [enc for enc, _ in unpacked]
-        func = log_transform if self.apply_log else None
-        try:
-            if self.placement == "gpu" and device is not None:
-                outs = k_lut_decode_batch(
-                    device, encs, table_func=func, out_dtype=np.float16
-                )
-            else:
-                works = encs
-                if func is not None:
-                    from repro.core.encoding.lut import apply_to_tables
-
-                    works = [
-                        apply_to_tables(enc, func, out_dtype=np.float16)
-                        for enc in encs
-                    ]
-                outs = decode_samples(works, dtype=np.float16)
-        except ValueError:
-            return [self.decode(blob, device) for blob in blobs]
-        return [(out, label) for out, (_, label) in zip(outs, unpacked)]
-
-    #: nominal table-entries-to-voxels ratio used as the fused-step cost
-    #: hint: the paper's samples have a few hundred unique groups per
-    #: multi-million-voxel volume, so an operator fused into the table is
-    #: orders of magnitude cheaper than a full pass (ranking hint only)
-    _TABLE_FRACTION = 1.0 / 64.0
-
-    def decode_raw(self, blob: bytes, device=None):
-        """Native decode: one gather to the stored int16 counts."""
-        enc, label = self._unpack(blob)
-        if self.placement == "gpu" and device is not None:
-            return (
-                k_lut_decode(device, enc, table_func=None, out_dtype=None),
-                label,
-            )
-        return decode_sample(enc), label
-
-    def decode_fused(self, blob: bytes, func=None, device=None):
-        """Fused decode: the composed chain runs over *table entries*.
+    def decode_group(self, blobs, func=None, device=None) -> list:
+        """Fold ``func`` into each sample's tables, then gather.
 
         Elementwise operators commute bit-exactly with the gather
         (``f(table)[keys] == f(table[keys])`` element for element), so
-        applying the chain to a few hundred table values before one
+        applying the chain to a few hundred table values before the
         gather produces the identical tensor at a fraction of the work —
-        the paper's ``log1p``+FP16 reordering, derived generically.
+        the paper's ``log1p``+FP16 reordering, derived generically.  A
+        group of more than one same-shape sample expands in one stacked
+        gather (:func:`decode_samples`).
         """
-        if func is None:
-            return self.decode_raw(blob, device)
-        enc, label = self._unpack(blob)
-        if self.placement == "gpu" and device is not None:
-            return (
-                k_lut_decode(device, enc, table_func=func, out_dtype=None),
-                label,
-            )
-        from repro.core.encoding.lut import apply_to_tables
 
-        fused = apply_to_tables(enc, func)
-        return decode_sample(fused), label
+        def fold(enc):
+            return enc if func is None else apply_to_tables(enc, func)
 
-    def declare_preprocessing(self, source, verify_reads: bool = False):
-        """``read → decode(int16) → [log1p] → fp16`` as graph nodes.
-
-        The legacy ``decode`` hand-fuses ``log1p``+FP16 into the table;
-        here the same stages are *declared* and the optimizer's fusion
-        pass re-derives that plan (the compiled optimized graph and the
-        hand-written path are bit-identical — asserted against the
-        golden vectors).
-        """
-        from repro.graph.ir import PipelineGraph
-
-        graph = PipelineGraph(name=f"cosmoflow-lut-{self.placement}")
-        graph.read(source, verify=verify_reads)
-        graph.decode(self, fusable=True, fused_cost_hint=self._TABLE_FRACTION)
-        if self.apply_log:
-            graph.elementwise("log1p", log_transform, cost_hint=1.0)
-        graph.cast("fp16", np.float16)
-        return graph
+        table_pass = func is not None and not getattr(func, "casts_only", False)
+        return self._decode_slots(
+            blobs, device,
+            one=lambda enc: decode_sample(fold(enc)),
+            many=lambda encs: decode_samples([fold(enc) for enc in encs]),
+            cost=lambda enc, out, spec: lut_kernel_cost(enc, out, table_pass),
+        )
 
     def measure(self, data: np.ndarray, label: np.ndarray) -> SampleCost:
         blob = self.encode(data, label)
         enc, _ = self._unpack(blob)
         decoded_bytes = int(data.size) * 2  # FP16 tensor
-        if self.placement == "gpu":
-            device = SimulatedGpu(spec=V100)
-            func = log_transform if self.apply_log else None
-            k_lut_decode(device, enc, table_func=func, out_dtype=np.float16)
-            return SampleCost(
-                stored_bytes=len(blob),
-                h2d_bytes=len(blob),
-                decoded_bytes=decoded_bytes,
-                cpu_preprocess_elems=0,
-                gpu_decode_seconds=device.busy_seconds,
-            )
         # CPU placement still benefits from the fusion: only table entries
         # pass through log1p; the gather is the bulk of host work.
         n_table_entries = sum(t.values.size for t in enc.tables)
-        return SampleCost(
+        return self._gpu_cost(blob, decoded_bytes) or SampleCost(
             stored_bytes=len(blob),
             h2d_bytes=decoded_bytes,
             decoded_bytes=decoded_bytes,

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.device import SimulatedGpu, V100
-from repro.accel.kernels import k_delta_decode, k_delta_decode_batch
 from repro.accel.warp import estimate_delta_decode_time
 from repro.core.encoding import container
 from repro.core.encoding.delta import DeltaCodecConfig
@@ -39,6 +37,7 @@ __all__ = [
     "DeepcamBaselinePlugin",
     "DeepcamDeltaPlugin",
     "channel_stats",
+    "delta_kernel_cost",
     "holdout_filter",
 ]
 
@@ -81,6 +80,42 @@ def _normalize(data: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarra
     return ((data.astype(np.float32) - mean[bc]) / std[bc]).astype(np.float32)
 
 
+def delta_kernel_cost(channels, out: np.ndarray, spec) -> list[tuple]:
+    """Device launch of one delta-encoded sample's decode into ``out``.
+
+    The hierarchically warp-parallel differential decode, timed by the
+    warp model (:func:`~repro.accel.warp.estimate_delta_decode_time`),
+    reads the encoded channels and writes the FP16 tensor.
+    """
+    seconds = estimate_delta_decode_time(channels, spec)
+    moved = sum(e.nbytes for e in channels) + out.nbytes
+    return [("delta_decode", moved, 0.0, seconds)]
+
+
+def _decode_delta(channels) -> np.ndarray:
+    """One sample's FP16 tensor: one column walk per channel."""
+    H, W = channels[0].shape
+    out = np.empty((len(channels), H, W), dtype=np.float16)
+    for c, enc in enumerate(channels):
+        decode_image_fast(enc, out=out[c])
+    return out
+
+
+def _decode_deltas(samples) -> list[np.ndarray]:
+    """Every channel of every same-shape sample in one column walk
+    (:func:`decode_images_fast`); mixed shapes raise ``ValueError``."""
+    C = len(samples[0])
+    if any(len(channels) != C for channels in samples):
+        raise ValueError("mixed channel counts")
+    H, W = samples[0][0].shape
+    outs = [np.empty((C, H, W), dtype=np.float16) for _ in samples]
+    decode_images_fast(
+        [enc for channels in samples for enc in channels],
+        outs=[out[c] for out in outs for c in range(C)],
+    )
+    return outs
+
+
 class DeepcamBaselinePlugin(SamplePlugin):
     """Raw FP32 storage + CPU normalization — the paper's baseline."""
 
@@ -94,20 +129,23 @@ class DeepcamBaselinePlugin(SamplePlugin):
             data, label, extra={"mean": mean.tolist(), "std": std.tolist()}
         )
 
-    def decode_cpu(self, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    def _unpack(self, blob: bytes):
         codec, data, label, extra = container.unpack_sample(blob)
-        if codec != "raw":
-            raise ValueError(f"baseline plugin got a {codec!r} container")
+        if codec != self.codec:
+            raise ValueError(f"{type(self).__name__} got a {codec!r} container")
         mean = np.asarray(extra["mean"], dtype=np.float32)
         std = np.asarray(extra["std"], dtype=np.float32)
-        return _normalize(data, mean, std), label
+        return (data, mean, std), label
 
-    def decode_gpu(self, blob, device):  # pragma: no cover - API completeness
-        raise NotImplementedError("the baseline preprocesses on the CPU only")
+    def decode_group(self, blobs, func=None, device=None) -> list:
+        """Normalize every sample on the CPU; ``func`` runs after."""
+        return self._decode_slots(
+            blobs, device, one=lambda p: _normalize(*p), post=func
+        )
 
     def measure(self, data: np.ndarray, label: np.ndarray) -> SampleCost:
         blob = self.encode(data, label)
-        tensor, _ = self.decode_cpu(blob)
+        tensor, _ = self.decode(blob)
         return SampleCost(
             stored_bytes=len(blob),
             h2d_bytes=tensor.nbytes,  # full FP32 tensor crosses the link
@@ -119,6 +157,8 @@ class DeepcamBaselinePlugin(SamplePlugin):
 class DeepcamDeltaPlugin(SamplePlugin):
     """Differential-codec storage with CPU- or GPU-placed decode."""
 
+    codec = "delta"
+
     def __init__(
         self,
         placement: str = "gpu",
@@ -128,6 +168,7 @@ class DeepcamDeltaPlugin(SamplePlugin):
             raise ValueError("placement must be 'cpu' or 'gpu'")
         self.placement = placement
         self.name = placement
+        self.graph_name = f"deepcam-delta-{placement}"
         self.config = config or DeltaCodecConfig()
 
     def encode(self, data: np.ndarray, label: np.ndarray) -> bytes:
@@ -139,60 +180,19 @@ class DeepcamDeltaPlugin(SamplePlugin):
             channels, label, extra={"mean": mean.tolist(), "std": std.tolist()}
         )
 
-    def _unpack(self, blob: bytes):
-        codec, channels, label, extra = container.unpack_sample(blob)
-        if codec != "delta":
-            raise ValueError(f"delta plugin got a {codec!r} container")
-        return channels, label
+    def decode_group(self, blobs, func=None, device=None) -> list:
+        """Decode every sample's lines; ``func`` runs as one pass after.
 
-    def decode_cpu(self, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
-        channels, label = self._unpack(blob)
-        H, W = channels[0].shape
-        out = np.empty((len(channels), H, W), dtype=np.float16)
-        for c, enc in enumerate(channels):
-            decode_image_fast(enc, out=out[c])
-        return out, label
-
-    def decode_gpu(
-        self, blob: bytes, device: SimulatedGpu
-    ) -> tuple[np.ndarray, np.ndarray]:
-        channels, label = self._unpack(blob)
-        return k_delta_decode(device, channels), label
-
-    def decode_batch(self, blobs, device=None):
-        """Vectorized multi-sample decode: all lines, one NumPy pass.
-
-        Every channel of every same-shape sample joins one mode-grouped
-        column walk (:func:`decode_images_fast`); mixed-shape batches
-        fall back to the scalar loop.  Both paths are bit-identical to
-        per-sample :meth:`decode` by construction (the batched decoder
-        runs the very same line kernel).
+        A group of more than one same-shape sample joins one mode-grouped
+        column walk (:func:`decode_images_fast`), bit-identical to the
+        per-channel walk of a group of one by construction (the batched
+        decoder runs the very same line kernel); mixed shapes decode
+        sample by sample.
         """
-        if not blobs:
-            return []
-        unpacked = [self._unpack(blob) for blob in blobs]
-        try:
-            if self.placement == "gpu" and device is not None:
-                outs = k_delta_decode_batch(
-                    device, [channels for channels, _ in unpacked]
-                )
-            else:
-                C = len(unpacked[0][0])
-                if any(len(ch) != C for ch, _ in unpacked):
-                    raise ValueError("mixed channel counts")
-                H, W = unpacked[0][0][0].shape
-                outs = [
-                    np.empty((C, H, W), dtype=np.float16) for _ in unpacked
-                ]
-                decode_images_fast(
-                    [enc for channels, _ in unpacked for enc in channels],
-                    outs=[out[c] for out in outs for c in range(C)],
-                )
-        except ValueError:
-            return [self.decode(blob, device) for blob in blobs]
-        return [
-            (out, label) for out, (_, label) in zip(outs, unpacked)
-        ]
+        return self._decode_slots(
+            blobs, device, one=_decode_delta, many=_decode_deltas,
+            cost=delta_kernel_cost, post=func,
+        )
 
     def declare_preprocessing(
         self,
@@ -213,11 +213,7 @@ class DeepcamDeltaPlugin(SamplePlugin):
         reordering pass hoists it before the read, so held-out samples
         cost no storage bytes and no decode cycles.
         """
-        from repro.graph.ir import PipelineGraph
-
-        graph = PipelineGraph(name=f"deepcam-delta-{self.placement}")
-        graph.read(source, verify=verify_reads)
-        graph.decode(self, fusable=True, fused_cost_hint=1.0)
+        graph = super().declare_preprocessing(source, verify_reads)
         if cast is not None:
             graph.cast("cast", cast)
         if holdout:
@@ -231,22 +227,12 @@ class DeepcamDeltaPlugin(SamplePlugin):
 
     def measure(self, data: np.ndarray, label: np.ndarray) -> SampleCost:
         blob = self.encode(data, label)
-        channels, _ = self._unpack(blob)
         decoded_bytes = int(data.size) * 2  # FP16 tensor
-        if self.placement == "gpu":
-            gpu_seconds = estimate_delta_decode_time(channels, V100)
-            return SampleCost(
-                stored_bytes=len(blob),
-                h2d_bytes=len(blob),  # encoded form crosses the link
-                decoded_bytes=decoded_bytes,
-                cpu_preprocess_elems=0,
-                gpu_decode_seconds=gpu_seconds,
-            )
         # The CPU decoder is leaner than the baseline's generic framework
         # path: it emits FP16 (half the write traffic) and touches encoded
         # bytes, not the full FP32 tensor — charged as 0.45 effective
         # elements per value.
-        return SampleCost(
+        return self._gpu_cost(blob, decoded_bytes) or SampleCost(
             stored_bytes=len(blob),
             h2d_bytes=decoded_bytes,  # FP16 tensor crosses the link
             decoded_bytes=decoded_bytes,

@@ -51,7 +51,7 @@ def _deepcam_error_stats(
         config=DeltaCodecConfig(quality_gate=quality_gate),
     )
     blob = plugin.encode(sample.data, sample.label)
-    decoded, _ = plugin.decode_cpu(blob)
+    decoded, _ = plugin.decode(blob)
     mean, std = channel_stats(sample.data)
     truth = _normalize(sample.data, mean, std)
     err = np.abs(decoded.astype(np.float32) - truth)
@@ -83,7 +83,7 @@ def _cosmo_compression(seed: int = 6, grid: int = 128):
     gz = len(zlib.compress(sample.data.tobytes(), 6))
     plugin = CosmoflowLutPlugin(placement="cpu")
     blob = plugin.encode(sample.data, sample.label)
-    decoded, _ = plugin.decode_cpu(blob)
+    decoded, _ = plugin.decode(blob)
     ref = np.log1p(sample.data.astype(np.float32)).astype(np.float16)
     lossless_fp16 = bool(np.array_equal(decoded, ref))
     return raw / enc.nbytes, raw / gz, lossless_fp16

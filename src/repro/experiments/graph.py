@@ -9,9 +9,9 @@ preprocessing as a :class:`~repro.graph.ir.PipelineGraph` and the
 optimizer must rediscover the same rewrites.  Four checks:
 
 * **bit-exact equivalence** — the optimized plan's output is
-  bit-identical to the naive plan's (and to the legacy hand-fused
-  ``plugin.decode``) on both workloads, via the
-  :func:`~repro.conformance.check_graph_equivalence` harness;
+  bit-identical to the naive plan's on both workloads, via the
+  :func:`~repro.conformance.check_graph_equivalence` harness (and
+  ``plugin.decode`` is that optimized plan by construction);
 * **derived rewrites** — the pass trace shows the CosmoFlow fusion
   (``log1p`` and ``fp16`` folded into decode) and the DeepCAM holdout
   filter hoisted out of the executor entirely;
@@ -70,19 +70,14 @@ def run(
     """Run the graph-compiler scenarios and assert their invariants."""
     result = ExperimentResult(
         exhibit="Graph",
-        title="declared-graph optimizer vs naive and legacy pipelines",
+        title="declared-graph optimizer vs the naive pipeline",
         headers=["scenario", "detail", "value"],
     )
 
-    # -- bit-exact equivalence: naive vs optimized vs legacy ---------------
+    # -- bit-exact equivalence: naive vs optimized --------------------------
     for workload in WORKLOADS:
         plugin, blobs, graph = _declare(workload, n_samples, seed, holdout)
-        # a holdout changes which samples survive, so the legacy decode
-        # (no filter) only joins the comparison for the default declaration
-        legacy = plugin if workload == "cosmoflow" else None
-        report = check_graph_equivalence(
-            graph, epochs=epochs, legacy_plugin=legacy
-        )
+        report = check_graph_equivalence(graph, epochs=epochs)
         result.add(
             f"equivalence ({workload})",
             f"{len(blobs)} samples x {epochs} epochs across "

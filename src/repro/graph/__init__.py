@@ -15,10 +15,8 @@ from repro.graph.compiler import (
     CompiledPlan,
     ElementwiseOp,
     EpochConstOp,
-    FusedDecodeOp,
     GraphFilterOp,
     PlanCostTerms,
-    RawDecodeOp,
     compile_graph,
     compose_steps,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "ElementwiseOp",
     "GraphFilterOp",
     "EpochConstOp",
-    "RawDecodeOp",
-    "FusedDecodeOp",
     "PlanCostTerms",
     "CompiledPlan",
     "compose_steps",

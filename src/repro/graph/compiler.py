@@ -17,22 +17,26 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.plugins.base import SampleCost
-from repro.graph.ir import FusedStep, GraphNode, PipelineGraph
+from repro.core.plugins.base import SampleCost, compose_steps
+from repro.graph.ir import GraphNode, PipelineGraph
 from repro.graph.passes import PassTrace, RewritePass, run_passes
 from repro.pipeline.graph import Pipeline
-from repro.pipeline.ops import LabelTransformOp, Op, PipelineItem, ReadOp
+from repro.pipeline.ops import (
+    DecodeOp,
+    LabelTransformOp,
+    Op,
+    PipelineItem,
+    ReadOp,
+)
 
 __all__ = [
     "ElementwiseOp",
     "GraphFilterOp",
     "EpochConstOp",
-    "RawDecodeOp",
-    "FusedDecodeOp",
     "PlanCostTerms",
     "CompiledPlan",
     "compose_steps",
@@ -41,28 +45,6 @@ __all__ = [
 
 #: fields a predicate may read and still run before anything executes
 _PREFILTER_FIELDS = frozenset({"index", "epoch"})
-
-
-def compose_steps(
-    steps: Sequence[FusedStep],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """One callable applying each fused step's func and cast in order.
-
-    Applied to LUT table values or to a decoded tensor, the result is
-    element-for-element the same float operations the separate stages
-    would run — which is why fusion is bit-exact.
-    """
-
-    def composed(arr: np.ndarray) -> np.ndarray:
-        out = arr
-        for s in steps:
-            if s.func is not None:
-                out = s.func(out)
-            if s.out_dtype is not None:
-                out = np.asarray(out).astype(s.out_dtype, copy=False)
-        return out
-
-    return composed
 
 
 class ElementwiseOp(Op):
@@ -134,49 +116,6 @@ class EpochConstOp(Op):
     def __call__(self, item: PipelineItem) -> PipelineItem:
         epoch = item.meta.get("epoch", 0)
         item.meta[self.meta_key] = self._value(epoch)
-        return item
-
-
-class RawDecodeOp(Op):
-    """Lowered unfused decode: the plugin's native-representation decode."""
-
-    name = "decode"
-
-    def __init__(self, plugin, device=None) -> None:
-        self.plugin = plugin
-        self.device = device
-
-    def __call__(self, item: PipelineItem) -> PipelineItem:
-        if item.blob is None:
-            raise ValueError("decode requires a read stage upstream")
-        item.tensor, item.label = self.plugin.decode_raw(item.blob, self.device)
-        item.blob = None  # free the encoded form
-        return item
-
-
-class FusedDecodeOp(Op):
-    """Lowered fused decode: native decode + composed elementwise chain.
-
-    Dispatches to the plugin's ``decode_fused`` — LUT plugins run the
-    chain over table entries before one gather; the default applies it
-    as a single pass over the decoded tensor.
-    """
-
-    name = "decode"
-
-    def __init__(self, plugin, steps: Sequence[FusedStep], device=None) -> None:
-        self.plugin = plugin
-        self.steps = tuple(steps)
-        self.func = compose_steps(self.steps)
-        self.device = device
-
-    def __call__(self, item: PipelineItem) -> PipelineItem:
-        if item.blob is None:
-            raise ValueError("decode requires a read stage upstream")
-        item.tensor, item.label = self.plugin.decode_fused(
-            item.blob, self.func, self.device
-        )
-        item.blob = None
         return item
 
 
@@ -370,11 +309,11 @@ def _lower(node: GraphNode, device) -> Op:
         op.name = node.name
         return op
     if node.kind == "decode":
-        dev = None if node.device == "cpu" else device
-        if node.fused_steps:
-            op = FusedDecodeOp(node.plugin, node.fused_steps, device=dev)
-        else:
-            op = RawDecodeOp(node.plugin, device=dev)
+        op = DecodeOp(
+            node.plugin,
+            compose_steps(node.fused_steps),
+            None if node.device == "cpu" else device,
+        )
         op.name = node.name
         return op
     if node.kind == "elementwise":

@@ -17,8 +17,10 @@ semantically equal on surviving samples; the conformance harness
 (:func:`repro.conformance.differential.check_graph_equivalence`) checks
 the stronger property the paper needs: *bit*-identical outputs.
 
-Kept dependency-free of the rest of the package so plugins can import it
-to implement ``declare_preprocessing()`` without cycles.
+Kept free of the rest of the package but for
+:class:`~repro.core.plugins.base.FusedStep` — the chain-step type plugins
+state their own preprocessing in — so plugins can import it to implement
+``declare_preprocessing()`` without cycles.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from repro.core.plugins.base import FusedStep
 
 __all__ = [
     "FIELDS",
@@ -68,8 +72,8 @@ class OpAttrs:
         (1.0 = touch every element once).  A ranking hint for the cost
         model, not an exact measurement.
     fusable:
-        For decode nodes: the plugin implements ``decode_fused`` so a
-        trailing elementwise chain can be composed into the decode.
+        For decode nodes: a trailing elementwise chain may be composed
+        into the decode (``decode_group(func=)``).
     fused_cost_hint:
         Multiplier applied to a fused step's own ``cost_hint``.  For LUT
         decode this is the table fraction (the operator runs over
@@ -102,20 +106,6 @@ class OpAttrs:
             raise ValueError("cost hints must be >= 0")
         if not 0 <= self.batch_overhead <= 1:
             raise ValueError("batch_overhead is a cost fraction in [0, 1]")
-
-
-@dataclass(frozen=True)
-class FusedStep:
-    """One elementwise stage absorbed into a decode node by fusion.
-
-    ``cost_hint`` carries the original node's per-sample cost; the plan
-    cost model charges it scaled by the decode's ``fused_cost_hint``.
-    """
-
-    name: str
-    func: Callable[[np.ndarray], np.ndarray] | None = None
-    out_dtype: np.dtype | None = None
-    cost_hint: float = 1.0
 
 
 @dataclass
@@ -234,10 +224,11 @@ class PipelineGraph:
     ) -> GraphNode:
         """Decode the blob to the representation's *native* tensor.
 
-        Graph decode means :meth:`~repro.core.plugins.base.SamplePlugin.
-        decode_raw` — the plugin's built-in preprocessing (if any) is
-        declared as separate elementwise nodes so the optimizer can see,
-        fuse, and cost it.  ``batch_overhead`` declares the fixed
+        Graph decode is :meth:`~repro.core.plugins.base.SamplePlugin.
+        decode_group` with the chain the fusion pass folds in (none when
+        nothing fuses) — the plugin's own preprocessing, its ``steps``,
+        is declared as separate elementwise nodes so the optimizer can
+        see, fuse, and cost it.  ``batch_overhead`` declares the fixed
         per-launch fraction of decode cost a batched decode amortizes
         (see :class:`OpAttrs`).
         """

@@ -193,11 +193,11 @@ class ElementwiseFusion(RewritePass):
     of the tensor commutes with them.  The first node that reads or
     writes the tensor non-elementwise ends the chain.
 
-    Execution goes through the plugin's ``decode_fused``: the LUT plugin
-    applies the composed chain to table *entries* before one gather
-    (the paper's reordering, now derived instead of hand-written); the
-    delta plugin applies it as a single post-transform pass.  Both are
-    bit-identical to running the stages separately.
+    Execution passes the composed chain to the plugin's ``decode_group``
+    (``func=``): the LUT plugin applies it to table *entries* before one
+    gather (the paper's reordering, now derived instead of hand-written);
+    the delta plugin applies it as a single post-transform pass.  Both
+    are bit-identical to running the stages separately.
     """
 
     name = "elementwise-fusion"

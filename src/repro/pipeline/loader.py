@@ -31,7 +31,7 @@ import numpy as np
 from repro.accel.device import SimulatedGpu
 from repro.core.plugins.base import SamplePlugin
 from repro.pipeline.executor import FailedItem, PrefetchExecutor
-from repro.pipeline.ops import DecodeOp, Op, PipelineItem
+from repro.pipeline.ops import Op, PipelineItem
 from repro.pipeline.sources import SampleSource
 from repro.robust.quarantine import QuarantineLog
 from repro.tune.stats import StatsRegistry
@@ -88,10 +88,10 @@ class DataLoader:
     graph:
         The preprocessing graph to compile and execute (the loader
         always runs a :class:`~repro.graph.compiler.CompiledPlan`,
-        :attr:`plan`).  ``None`` (default) is the legacy chain, i.e. the
-        two-node graph ``read → DecodeOp(plugin, device)`` compiled
-        verbatim; ``True`` compiles the plugin's own
-        ``declare_preprocessing()`` declaration; a
+        :attr:`plan`).  ``None`` (default) or ``True`` compiles the
+        plugin's own ``declare_preprocessing()`` declaration — one plan
+        source, whose optimized plan fuses the plugin's chain back into
+        one ``decode_group`` call; a
         :class:`~repro.graph.ir.PipelineGraph` compiles that graph.
         Hoisted prefilters are applied to the epoch order (held-out
         samples are never read), in-chain filters drop items silently
@@ -106,8 +106,8 @@ class DataLoader:
         Make ``batch_size`` the executor's group size
         (``fetch_batch_size``; otherwise 1), so each training batch
         costs one batched read (one wire round-trip against a remote
-        source) and, for the legacy chain, one vectorized multi-sample
-        decode instead of ``batch_size`` scalar round-trips.
+        source) and one ``decode_group`` call (one vectorized
+        multi-sample decode) instead of ``batch_size`` scalar ones.
         Bit-identical to group size 1 by the batch plane's contract
         (``check_batch_equivalence``); failure semantics
         (``bad_sample_policy``, quarantine, degraded accounting) are
@@ -161,15 +161,8 @@ class DataLoader:
         self.stats = stats if stats is not None else StatsRegistry()
         self.quarantine = QuarantineLog()
         from repro.graph.compiler import compile_graph
-        from repro.graph.ir import PipelineGraph
 
-        if graph is None or graph is False:
-            # the legacy chain is the two-node plan read → decode(plugin)
-            graph = PipelineGraph("legacy")
-            graph.read(source, verify=verify_reads)
-            graph.op(DecodeOp(plugin, device))
-            optimize_graph = False
-        elif graph is True:
+        if graph is None or isinstance(graph, bool):
             graph = plugin.declare_preprocessing(
                 source, verify_reads=verify_reads
             )

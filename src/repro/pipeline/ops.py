@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.accel.device import SimulatedGpu
 from repro.core.encoding.container import verify_sample
 from repro.core.plugins.base import SamplePlugin
 from repro.pipeline.sources import SampleSource, read_batch_slots
@@ -119,41 +118,41 @@ class ReadOp(Op):
 
 
 class DecodeOp(Op):
-    """Decode via a plugin, on CPU or the simulated GPU."""
+    """Decode through the plugin's one method, ``decode_group``.
+
+    ``func`` is the elementwise chain fused into the decode (compiled
+    plans pass their composed fused steps; ``None`` is the plugin's
+    native decode) and ``device`` the simulated GPU a GPU-placed plugin
+    charges.
+    """
 
     name = "decode"
 
-    def __init__(
-        self, plugin: SamplePlugin, device: SimulatedGpu | None = None
-    ) -> None:
+    def __init__(self, plugin: SamplePlugin, func=None, device=None) -> None:
         self.plugin = plugin
+        self.func = func
         self.device = device
 
     def __call__(self, item: PipelineItem) -> PipelineItem:
         if item.blob is None:
             raise ValueError("DecodeOp requires a ReadOp upstream")
-        item.tensor, item.label = self.plugin.decode(item.blob, self.device)
-        item.blob = None  # free the encoded form
-        return item
+        out = self.run_group([item])[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     def run_group(self, items: list[PipelineItem]) -> list:
-        """One vectorized multi-sample decode for the group.
-
-        If the batched decode raises, the inherited scalar loop re-runs
-        the group and pins the failure to exactly the sample that raised.
-        """
-        if len(items) > 1:
-            try:
-                pairs = self.plugin.decode_batch(
-                    [item.blob for item in items], self.device
-                )
-            except Exception:  # noqa: BLE001 — isolated by the scalar loop
-                pass
-            else:
-                for item, (tensor, label) in zip(items, pairs):
-                    item.tensor, item.label, item.blob = tensor, label, None
-                return items
-        return super().run_group(items)
+        """One ``decode_group`` call for the group; the plugin isolates
+        each sample's failure in its own slot."""
+        out = self.plugin.decode_group(
+            [item.blob for item in items], self.func, self.device
+        )
+        for j, (item, slot) in enumerate(zip(items, out)):
+            if not isinstance(slot, Exception):
+                item.tensor, item.label = slot
+                item.blob = None  # free the encoded form
+                out[j] = item
+        return out
 
 
 class RandomFlipOp(Op):

@@ -90,3 +90,32 @@ def test_one_read_contract():
                 f"but is not a full source"
             )
     assert "TfRecordSource" in batch_native and "TieredSource" in batch_native
+
+
+def test_one_decode_contract():
+    """Plugins implement ``decode_group`` and nothing else to decode.
+
+    No class brings back a per-placement or fused decode method, no
+    plugin overrides the scalar/native/strict-batch entry points derived
+    once on ``SamplePlugin`` (``PipelineGraph.decode`` declares a graph
+    node and is no decode), and the decode kernels that re-ran the host
+    decoders are gone.
+    """
+    from repro.core.plugins.base import SamplePlugin
+
+    plugins = []
+    for cls in _classes():
+        for name in ("decode_cpu", "decode_gpu", "decode_fused"):
+            assert not hasattr(cls, name), (
+                f"{cls.__module__}.{cls.__qualname__} defines {name}"
+            )
+        if issubclass(cls, SamplePlugin) and cls is not SamplePlugin:
+            plugins.append(cls.__qualname__)
+            assert "decode_group" in vars(cls), cls.__qualname__
+            for name in ("decode", "decode_raw", "decode_batch"):
+                assert name not in vars(cls), (
+                    f"{cls.__module__}.{cls.__qualname__} overrides {name}"
+                )
+    assert len(plugins) == 5
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.accel.kernels")

@@ -65,7 +65,7 @@ class TestAutoPlugin:
         plugin = AutoPlugin("cpu")
         blob = plugin.encode(cosmo32.data, cosmo32.label)
         assert container.peek_codec(blob) == "lut"
-        tensor, label = plugin.decode_cpu(blob)
+        tensor, label = plugin.decode(blob)
         assert tensor.dtype == np.float16
         assert np.array_equal(tensor.astype(np.int16), cosmo32.data)
         assert np.array_equal(label, cosmo32.label)
@@ -74,7 +74,7 @@ class TestAutoPlugin:
         plugin = AutoPlugin("cpu")
         blob = plugin.encode(deepcam8.data, deepcam8.label)
         assert container.peek_codec(blob) == "delta"
-        tensor, _ = plugin.decode_cpu(blob)
+        tensor, _ = plugin.decode(blob)
         # decoded values are the standardized channels (fused normalize)
         C = deepcam8.data.shape[0]
         flat = deepcam8.data.reshape(C, -1).astype(np.float64)
@@ -94,7 +94,7 @@ class TestAutoPlugin:
                  ).astype(np.float32)
         plugin = AutoPlugin("cpu")
         blob = plugin.encode(noise, np.zeros(1))
-        tensor, _ = plugin.decode_cpu(blob)
+        tensor, _ = plugin.decode(blob)
         assert np.array_equal(tensor, noise)
 
     def test_gpu_placement_decodes_identically(self, cosmo32):
@@ -102,7 +102,7 @@ class TestAutoPlugin:
         blob = plugin.encode(cosmo32.data, cosmo32.label)
         dev = SimulatedGpu(spec=V100)
         t_gpu, _ = plugin.decode(blob, dev)
-        t_cpu, _ = AutoPlugin("cpu").decode_cpu(blob)
+        t_cpu, _ = AutoPlugin("cpu").decode(blob)
         assert np.array_equal(t_gpu, t_cpu)
         assert dev.busy_seconds > 0
 
@@ -119,7 +119,7 @@ class TestAutoPlugin:
             plugin.encode(cosmo32.data, cosmo32.label),
             plugin.encode(deepcam8.data, deepcam8.label),
         ]
-        shapes = [plugin.decode_cpu(b)[0].shape for b in blobs]
+        shapes = [plugin.decode(b)[0].shape for b in blobs]
         assert shapes == [(4, 32, 32, 32), (8, 32, 48)]
 
     def test_invalid_placement(self):

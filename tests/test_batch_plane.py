@@ -11,12 +11,12 @@ Layered to match docs/batching.md:
 * sources — ``read_batch``/``read_batch_slots`` equal a sequential read
   loop for every source, under arbitrary batch sizes, orderings and
   duplicated indices (Hypothesis property tests);
-* decode — ``check_batch_equivalence`` proves ``decode_batch`` ≡ a
+* decode — ``check_batch_equivalence`` proves a ``decode_group`` ≡ a
   scalar decode loop for both workload plugins, including the
   mixed-shape fallback and simulated-GPU accounting;
 * executor/loader — ``batched_fetch=True`` yields bit-identical epochs
-  across worker counts for the legacy chain *and* compiled plans (whose
-  fetch must ride the batch plane too), with unchanged quarantine
+  across worker counts for compiled plans (whose fetch and decode must
+  both ride the batch plane), with unchanged quarantine
   semantics, a whole-exchange failure confined to its own group;
 * tune/graph — the cost model's batch-size axis and the compiled plan's
   ``batch_overhead`` amortization reproduce the scalar numbers at B=1.
@@ -515,27 +515,39 @@ class TestBatchDecodeEquivalence:
             blobs.append(plugin.encode(s.data, s.label))
         check_batch_equivalence(plugin, blobs).raise_if_failed()
 
-    def test_gpu_placement_batch_keeps_device_accounting(self, ):
+    def test_gpu_placement_batch_keeps_device_accounting(self):
+        """A group is one launch per kernel: the same bytes and flops as
+        the scalar decodes, paying at most the launch overheads less."""
         cfg = cosmoflow.CosmoflowConfig(grid=8, n_particles=2000)
         plugin = CosmoflowLutPlugin("gpu")
         ds = cosmoflow.generate_dataset(4, cfg, seed=11)
         blobs = [plugin.encode(s.data, s.label) for s in ds]
-        report = check_batch_equivalence(
-            plugin, blobs, device=SimulatedGpu(spec=V100)
-        )
-        report.raise_if_failed()
+        check_batch_equivalence(plugin, blobs).raise_if_failed()
+        scalar, batch = SimulatedGpu(spec=V100), SimulatedGpu(spec=V100)
+        for blob in blobs:
+            plugin.decode(blob, scalar)
+        plugin.decode_batch(blobs, batch)
+        for attr in ("bytes_moved", "flops"):
+            assert sum(getattr(k, attr) for k in scalar.launches) == sum(
+                getattr(k, attr) for k in batch.launches
+            )
+        saved = len(scalar.launches) - len(batch.launches)
+        assert saved == 6  # 8 launches -> 2
+        gap = scalar.busy_seconds - batch.busy_seconds
+        assert 0 < gap <= saved * V100.launch_overhead_s + 1e-15
 
     def test_a_lying_decode_batch_is_caught(self, deepcam_fix):
         plugin, blobs = deepcam_fix
 
         class Lying(DeepcamDeltaPlugin):
-            def decode_batch(self, batch, device=None):
+            def decode_group(self, blobs, func=None, device=None):
                 pairs = [
                     (t.copy(), label)
-                    for t, label in super().decode_batch(batch, device)
+                    for t, label in super().decode_group(blobs, func, device)
                 ]
-                t, _ = pairs[1]
-                t.flat[0] += 1  # one element, one sample
+                if len(pairs) > 1:
+                    t, _ = pairs[1]
+                    t.flat[0] += 1  # one element, one sample
                 return pairs
 
         report = check_batch_equivalence(Lying("cpu"), blobs)
@@ -580,7 +592,7 @@ class TestLoaderBatchMode:
     ):
         """A compiled plan's read stage is batch-native by construction:
         one batched read per group, no scalar read, same bytes as the
-        scalar legacy epoch."""
+        scalar default epoch."""
         plugin, blobs = request.getfixturevalue(workload)
         blobs = (blobs * 2)[:12]
         reference = _epoch_bytes(

@@ -336,7 +336,7 @@ class TestGraphCommand:
                      "--input", str(cosmo_file), "--check"]) == 0
         text = capsys.readouterr().out
         assert "bit-identical" in text
-        assert "naive/optimized/legacy" in text
+        assert "naive/optimized" in text
         assert "fused" in text  # pass trace mentions the fusion
 
     def test_optimize_check_deepcam_holdout(self, deepcam_file, capsys):

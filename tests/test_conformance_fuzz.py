@@ -1,8 +1,8 @@
 """Differential fuzzing: ≥1000 structured cases per codec, every run.
 
 This is the acceptance gate the kit exists for: every delta decode
-implementation (loop reference-from-docs, production loop, vectorized,
-accelerator kernel) and every LUT decode path must agree bit-for-bit on
+implementation (loop reference-from-docs, production loop, vectorized)
+and every LUT decode path must agree bit-for-bit on
 1000+ fuzzer-generated samples per codec, every tier-1 run.  The crash
 corpus (``tests/crashes/``) is replayed too, so past failures stay fixed.
 """
@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.accel.device import V100, SimulatedGpu
 from repro.conformance import fuzz, replay_crashes
 from repro.conformance.fuzzer import (
     DELTA_KINDS,
@@ -37,29 +36,24 @@ def _fail_detail(report):
     )
 
 
-@pytest.fixture(scope="module")
-def device():
-    return SimulatedGpu(spec=V100)
-
-
-def test_delta_differential_1000_samples(device):
-    report = fuzz("delta", samples=N_SAMPLES, seed=42, device=device)
+def test_delta_differential_1000_samples():
+    report = fuzz("delta", samples=N_SAMPLES, seed=42)
     assert report.cases >= N_SAMPLES
     assert report.ok, _fail_detail(report)
     # the structured corpus must actually exercise every kind
     assert set(report.by_kind) == set(DELTA_KINDS)
 
 
-def test_lut_differential_1000_samples(device):
-    report = fuzz("lut", samples=N_SAMPLES, seed=42, device=device)
+def test_lut_differential_1000_samples():
+    report = fuzz("lut", samples=N_SAMPLES, seed=42)
     assert report.cases >= N_SAMPLES
     assert report.ok, _fail_detail(report)
     assert set(report.by_kind) == set(LUT_KINDS)
 
 
-def test_crash_corpus_replays_clean(device):
+def test_crash_corpus_replays_clean():
     """Every saved reproducer in tests/crashes/ must pass forever."""
-    report = replay_crashes(CRASH_DIR, device=device)
+    report = replay_crashes(CRASH_DIR)
     assert report.ok, _fail_detail(report)
 
 

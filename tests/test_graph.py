@@ -380,13 +380,19 @@ class TestCompiler:
 
 class TestExecutionEquivalence:
     def test_cosmoflow_graph_equivalence_with_legacy(self, cosmo_lut):
+        """The optimized plan of the declaration *is* ``plugin.decode``:
+        both fuse the plugin's steps into one ``decode_group`` call."""
         plugin, blobs = cosmo_lut
-        report = check_graph_equivalence(
-            plugin.declare_preprocessing(ListSource(blobs)),
-            epochs=2, legacy_plugin=plugin,
-        )
+        graph = plugin.declare_preprocessing(ListSource(blobs))
+        report = check_graph_equivalence(graph, epochs=2)
         report.raise_if_failed()
-        assert report.impls == ["naive", "optimized", "legacy"]
+        assert report.impls == ["naive", "optimized"]
+        pipe = compile_graph(graph).pipeline()
+        for i, blob in enumerate(blobs):
+            item = pipe.run(i)
+            tensor, label = plugin.decode(blob)
+            assert item.tensor.tobytes() == tensor.tobytes()
+            assert item.label.tobytes() == label.tobytes()
 
     def test_cosmoflow_baseline_graph_equivalence(self):
         cfg = cosmoflow.CosmoflowConfig(grid=8, n_particles=3000)
@@ -394,8 +400,7 @@ class TestExecutionEquivalence:
         plugin = CosmoflowBaselinePlugin()
         blobs = [plugin.encode(s.data, s.label) for s in ds]
         check_graph_equivalence(
-            plugin.declare_preprocessing(ListSource(blobs)),
-            legacy_plugin=plugin,
+            plugin.declare_preprocessing(ListSource(blobs))
         ).raise_if_failed()
 
     def test_cosmoflow_gpu_graph_equivalence(self):
@@ -406,7 +411,6 @@ class TestExecutionEquivalence:
         check_graph_equivalence(
             plugin.declare_preprocessing(ListSource(blobs)),
             device=SimulatedGpu(spec=V100),
-            legacy_plugin=plugin,
         ).raise_if_failed()
 
     def test_deepcam_filtered_graph_equivalence(self, deepcam_fix):

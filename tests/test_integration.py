@@ -49,8 +49,8 @@ class TestCosmoflowEndToEnd:
         ds = cosmoflow.generate_dataset(3, cfg, seed=5)
         base, plug = CosmoflowBaselinePlugin(), CosmoflowLutPlugin("cpu")
         for s in ds:
-            t_base, _ = base.decode_cpu(base.encode(s.data, s.label))
-            t_dec, _ = plug.decode_cpu(plug.encode(s.data, s.label))
+            t_base, _ = base.decode(base.encode(s.data, s.label))
+            t_dec, _ = plug.decode(plug.encode(s.data, s.label))
             assert np.array_equal(
                 t_dec, t_base.astype(np.float16)
             )  # decoded == FP16(baseline): lossless cast
@@ -127,7 +127,7 @@ class TestCrossPluginConsistency:
         ]
         for plugin, sample in cases:
             blob = plugin.encode(sample.data, sample.label)
-            _, label = plugin.decode_cpu(blob)
+            _, label = plugin.decode(blob)
             assert np.array_equal(label, sample.label), type(plugin).__name__
 
     def test_gpu_memory_guard_applies(self, cosmo_sample):

@@ -17,7 +17,7 @@ from repro.core.plugins import (
 class TestDeepcamBaseline:
     def test_output_is_normalized_fp32(self, deepcam_sample):
         plugin = DeepcamBaselinePlugin()
-        tensor, label = plugin.decode_cpu(
+        tensor, label = plugin.decode(
             plugin.encode(deepcam_sample.data, deepcam_sample.label)
         )
         assert tensor.dtype == np.float32
@@ -29,10 +29,14 @@ class TestDeepcamBaseline:
         assert np.array_equal(label, deepcam_sample.label)
 
     def test_gpu_decode_unsupported(self, deepcam_sample):
+        """The baseline preprocesses on the CPU only: a device passed in
+        is never charged and changes nothing."""
         plugin = DeepcamBaselinePlugin()
         blob = plugin.encode(deepcam_sample.data, deepcam_sample.label)
-        with pytest.raises(NotImplementedError):
-            plugin.decode_gpu(blob, SimulatedGpu(spec=V100))
+        dev = SimulatedGpu(spec=V100)
+        tensor, _ = plugin.decode(blob, dev)
+        assert dev.launches == []
+        assert tensor.tobytes() == plugin.decode(blob)[0].tobytes()
 
     def test_measure_cost(self, deepcam_sample):
         cost = DeepcamBaselinePlugin().measure(
@@ -57,10 +61,10 @@ class TestDeepcamDelta:
     def test_decoded_close_to_baseline_normalized(self, deepcam_sample):
         base = DeepcamBaselinePlugin()
         plug = DeepcamDeltaPlugin("cpu")
-        truth, _ = base.decode_cpu(
+        truth, _ = base.decode(
             base.encode(deepcam_sample.data, deepcam_sample.label)
         )
-        approx, _ = plug.decode_cpu(
+        approx, _ = plug.decode(
             plug.encode(deepcam_sample.data, deepcam_sample.label)
         )
         err = np.abs(approx.astype(np.float32) - truth)
@@ -114,7 +118,7 @@ class TestDeepcamDelta:
             deepcam_sample.data, deepcam_sample.label
         )
         with pytest.raises(ValueError):
-            DeepcamDeltaPlugin("cpu").decode_cpu(base_blob)
+            DeepcamDeltaPlugin("cpu").decode(base_blob)
 
 
 class TestChannelStats:
@@ -134,7 +138,7 @@ class TestChannelStats:
 class TestCosmoflowBaseline:
     def test_full_volume_log(self, cosmo_sample):
         plugin = CosmoflowBaselinePlugin()
-        tensor, label = plugin.decode_cpu(
+        tensor, label = plugin.decode(
             plugin.encode(cosmo_sample.data, cosmo_sample.label)
         )
         assert tensor.dtype == np.float32
@@ -146,7 +150,7 @@ class TestCosmoflowBaseline:
 class TestCosmoflowLut:
     def test_lossless_to_fp16(self, cosmo_sample):
         plugin = CosmoflowLutPlugin("cpu")
-        tensor, _ = plugin.decode_cpu(
+        tensor, _ = plugin.decode(
             plugin.encode(cosmo_sample.data, cosmo_sample.label)
         )
         want = np.log1p(cosmo_sample.data.astype(np.float32)).astype(
@@ -163,7 +167,7 @@ class TestCosmoflowLut:
 
     def test_no_log_variant(self, cosmo_sample):
         plugin = CosmoflowLutPlugin("cpu", apply_log=False)
-        tensor, _ = plugin.decode_cpu(
+        tensor, _ = plugin.decode(
             plugin.encode(cosmo_sample.data, cosmo_sample.label)
         )
         assert np.array_equal(

@@ -121,14 +121,14 @@ class TestThreadSafety:
     def test_parallel_decode_is_safe(self, tiny_loader_parts):
         """Plugins decode fresh arrays per call; hammer them from threads."""
         plugin, blobs = tiny_loader_parts
-        reference = [plugin.decode_cpu(b)[0] for b in blobs]
+        reference = [plugin.decode(b)[0] for b in blobs]
         errors: list[Exception] = []
 
         def worker():
             try:
                 for _ in range(10):
                     for i, b in enumerate(blobs):
-                        t, _ = plugin.decode_cpu(b)
+                        t, _ = plugin.decode(b)
                         assert np.array_equal(t, reference[i])
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
