@@ -31,28 +31,11 @@ def test_delta_encode_throughput(benchmark, deepcam_data):
     assert enc.nbytes < ch.nbytes
 
 
-def test_delta_encode_fast_throughput(benchmark, deepcam_data):
-    from repro.core.encoding.delta_fast import encode_image_fast
-
-    ch = deepcam_data.data[0]
-    enc = benchmark(encode_image_fast, ch)
-    assert enc.payload == delta.encode_image(ch).payload
-
-
 def test_delta_decode_throughput(benchmark, deepcam_data):
-    ch = deepcam_data.data[0]
-    enc = delta.encode_image(ch)
-    out = benchmark(delta.decode_image, enc)
-    assert out.dtype == np.float16
-
-
-def test_delta_decode_fast_throughput(benchmark, deepcam_data):
-    from repro.core.encoding.delta_decode_fast import decode_image_fast
-
-    ch = deepcam_data.data[0]
-    enc = delta.encode_image(ch)
-    out = benchmark(decode_image_fast, enc)
-    assert np.array_equal(out, delta.decode_image(enc))
+    """All channels of one sample, in the one line pass the plugin runs."""
+    encs = [delta.encode_image(ch) for ch in deepcam_data.data]
+    out = benchmark(delta.decode_images, encs)
+    assert out.dtype == np.float16 and out.shape == deepcam_data.data.shape
 
 
 def test_lut_encode_throughput(benchmark, cosmo_data):

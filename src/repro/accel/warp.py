@@ -13,10 +13,10 @@ work class: a delta segment performs byte unpack + emulated FP adds
 (serialized scan within the warp), a literal/raw segment is a coalesced
 copy, a broadcast writes a constant.
 
-The model's output is the *device time* of a full-image decode — the
-functional result itself comes from the exact same CPU decoder
-(:func:`repro.core.encoding.delta.decode_image`), so accuracy of values and
-accuracy of timing are decoupled by construction.
+The model's output is the *device time* of a full-sample decode — the
+functional result itself comes from the one host decoder both placements
+run (:func:`repro.core.encoding.delta.decode_images`), so accuracy of
+values and accuracy of timing are decoupled by construction.
 """
 
 from __future__ import annotations

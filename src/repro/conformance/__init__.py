@@ -1,20 +1,18 @@
 """Codec conformance kit: reference decoders, golden vectors, fuzzing.
 
 The paper's results depend on the two custom codecs producing
-*bit-identical* training inputs no matter which implementation tier decodes
-them.  The repo carries several implementations of each decode path — the
-loop reference (:mod:`repro.core.encoding.delta`) and the vectorized
-encoder/decoder (:mod:`~repro.core.encoding.delta_fast`,
-:mod:`~repro.core.encoding.delta_decode_fast`); both simulated-GPU
-placements run these same decoders — and this package is the
-machine-checked guarantee that they agree:
+*bit-identical* training inputs.  Each codec has one production
+implementation (:mod:`repro.core.encoding.delta`,
+:mod:`repro.core.encoding.lut`; both simulated-GPU placements run the
+same decoders), and this package is the machine-checked guarantee that
+it matches an independent reference:
 
 * :mod:`repro.conformance.reference` — obviously-correct, loop-based
-  decoders written straight from ``docs/format-delta.md`` and
-  ``docs/format-lut.md``, independent of the production implementations.
-* :mod:`repro.conformance.differential` — runs one sample through every
-  implementation (and the container round-trip) and reports the first
-  bit-level disagreement.
+  decoders for both codecs and the line-at-a-time delta encoder, written
+  straight from ``docs/format-delta.md`` and ``docs/format-lut.md``.
+* :mod:`repro.conformance.differential` — runs one sample through the
+  reference and production coders (and the container round-trip) and
+  reports the first bit-level disagreement.
 * :mod:`repro.conformance.fuzzer` — structured-corpus fuzzing over the
   differential harness plus a crash-corpus replay, so every past failure
   becomes a permanent regression test.
@@ -38,6 +36,7 @@ from repro.conformance.fuzzer import FuzzReport, fuzz, replay_crashes
 from repro.conformance.reference import (
     decode_delta_reference,
     decode_lut_reference,
+    encode_delta_reference,
 )
 from repro.conformance.vectors import (
     generate_vectors,
@@ -56,6 +55,7 @@ __all__ = [
     "decode_delta_reference",
     "decode_lut_reference",
     "delta_decode_outputs",
+    "encode_delta_reference",
     "fuzz",
     "generate_vectors",
     "lut_decode_outputs",

@@ -1,12 +1,11 @@
-"""Differential decode harness: every implementation, bit-for-bit.
+"""Differential codec harness: production against reference, bit for bit.
 
-One encoded sample is pushed through every decode path the repo ships —
-the independent loop reference (:mod:`repro.conformance.reference`), the
-production loop decoder, the vectorized decoder, and the container
-round-trip — and the outputs are compared as
-raw bits (``tobytes()``), so NaN payloads and signed zeros count too.  The
-encoder side is differential as well: the loop and vectorized encoders
-must produce byte-identical streams.
+One sample is pushed through each codec's production decoder and the
+independent loop reference (:mod:`repro.conformance.reference`), and
+through the container round-trip, and the outputs are compared as raw
+bits (``tobytes()``), so NaN payloads and signed zeros count too.  The
+encoder side is differential as well: the production delta encoder and
+the line-at-a-time reference encoder must produce byte-identical streams.
 
 A disagreement anywhere is a :class:`Mismatch` inside a
 :class:`CaseReport`; :meth:`CaseReport.raise_if_failed` turns it into a
@@ -25,16 +24,15 @@ import numpy as np
 from repro.conformance.reference import (
     decode_delta_reference,
     decode_lut_reference,
+    encode_delta_reference,
 )
 from repro.core.encoding import container
 from repro.core.encoding.delta import (
     DeltaCodecConfig,
     DeltaEncodedImage,
-    decode_image,
+    decode_images,
     encode_image,
 )
-from repro.core.encoding.delta_decode_fast import decode_image_fast
-from repro.core.encoding.delta_fast import encode_image_fast
 from repro.core.encoding.lut import (
     LutCodecConfig,
     LutEncodedSample,
@@ -62,6 +60,8 @@ __all__ = [
 
 #: reference implementation name every other output is compared against
 REFERENCE = "reference"
+#: the production implementation's name
+PRODUCTION = "production"
 
 
 class ConformanceError(AssertionError):
@@ -141,16 +141,14 @@ def compare_against(
 # --------------------------------------------------------------------------
 
 def delta_decode_outputs(enc: DeltaEncodedImage) -> dict[str, np.ndarray]:
-    """FP16 output of every delta decode path for one encoded channel.
+    """FP16 output of both delta decoders for one encoded channel.
 
-    Keys: ``reference`` (loop reference from the format doc), ``loop``
-    (:func:`~repro.core.encoding.delta.decode_image`), ``vectorized``
-    (:func:`~repro.core.encoding.delta_decode_fast.decode_image_fast`).
+    Keys: ``reference`` (loop reference from the format doc) and
+    ``production`` (:func:`~repro.core.encoding.delta.decode_images`).
     """
     return {
         REFERENCE: decode_delta_reference(enc),
-        "loop": decode_image(enc),
-        "vectorized": decode_image_fast(enc),
+        PRODUCTION: decode_images([enc])[0],
     }
 
 
@@ -176,30 +174,32 @@ def _delta_enc_equal(a: DeltaEncodedImage, b: DeltaEncodedImage) -> str | None:
 def check_delta_case(
     image: np.ndarray, config: DeltaCodecConfig | None = None
 ) -> CaseReport:
-    """Encode one channel with both encoders, decode with every path.
+    """Encode one channel with both encoders, decode with both decoders.
 
-    Checks (1) loop and vectorized encoders emit byte-identical streams,
-    (2) the container round-trip preserves the stream exactly, and
-    (3) all three decode paths agree bit-for-bit on the FP16 output.
+    Checks (1) the production encoder emits the reference encoder's
+    stream byte for byte, (2) the container round-trip preserves the
+    stream exactly, and (3) both decoders agree bit-for-bit on the FP16
+    output.
     """
     cfg = config or DeltaCodecConfig()
     report = CaseReport(codec="delta")
-    enc = encode_image(image, cfg)
-    report.impls = ["encoder-loop", "encoder-vectorized", "container",
-                    REFERENCE, "loop", "vectorized"]
+    enc = encode_delta_reference(image, cfg)
+    report.impls = ["encoder-" + REFERENCE, "encoder-" + PRODUCTION,
+                    "container", REFERENCE, PRODUCTION]
 
-    reason = _delta_enc_equal(enc, encode_image_fast(image, cfg))
+    reason = _delta_enc_equal(enc, encode_image(image, cfg))
     if reason is not None:
-        report.mismatches.append(
-            Mismatch("encoder-vectorized", "encoder-loop", reason)
-        )
+        report.mismatches.append(Mismatch(
+            "encoder-" + PRODUCTION, "encoder-" + REFERENCE, reason
+        ))
 
     blob = container.pack_delta_sample([enc], np.zeros(1, dtype=np.int8))
     _, channels, _, _ = container.unpack_sample(blob)
     reason = _delta_enc_equal(enc, channels[0])
     if reason is not None:
         report.mismatches.append(
-            Mismatch("container", "encoder-loop", f"round-trip: {reason}")
+            Mismatch("container", "encoder-" + REFERENCE,
+                     f"round-trip: {reason}")
         )
 
     report.mismatches.extend(compare_against(delta_decode_outputs(enc)))
@@ -300,11 +300,10 @@ def check_batch_equivalence(plugin, blobs: list[bytes]) -> CaseReport:
     Runs ``plugin.decode_batch(blobs)`` — one ``decode_group`` call —
     against ``[plugin.decode(b) for b in blobs]`` — one group of one
     each — and compares every tensor and label as raw bytes.  This is
-    the batch plane's contract: a vectorized multi-sample decode (one
-    stacked table gather, one mode-grouped line pass) may change *when*
-    work happens, never a single output bit.  Callers exercise both the
-    vectorizable case (same-shape blobs) and the per-sample case (mixed
-    shapes); the check holds identically for both.
+    the batch plane's contract: a group may change *when* work happens
+    and how device launches merge, never a single output bit.  Callers
+    exercise same-shape and mixed-shape groups; the check holds
+    identically for both.
     """
     report = CaseReport(codec="batch")
     report.impls = ["scalar", "batched"]

@@ -1,11 +1,13 @@
-"""Loop-based reference decoders, written straight from the format docs.
+"""Loop-based reference coders, written straight from the format docs.
 
-These decoders deliberately share **no code** with the production
+The decoders deliberately share **no code** with the production
 implementations: every byte is interpreted with scalar reads and explicit
 Python loops following ``docs/format-delta.md`` and ``docs/format-lut.md``
-line by line.  They are the independent ground truth the differential
-harness (:mod:`repro.conformance.differential`) measures the loop and
-vectorized decoders against — slow, but obviously correct.
+line by line.  The delta encoder works one line at a time, segment by
+segment, sharing only the bit-field helpers of :mod:`repro.util` with the
+production encoder.  Together they are the independent ground truth the
+differential harness (:mod:`repro.conformance.differential`) measures the
+production codec against — slow, but obviously correct.
 
 Bit-exactness rules the docs pin down and these functions follow:
 
@@ -28,11 +30,166 @@ from repro.core.encoding.delta import (
     LINE_DELTA,
     LINE_RAW,
     LITERAL_SEGMENT,
+    DeltaCodecConfig,
     DeltaEncodedImage,
 )
 from repro.core.encoding.lut import LutEncodedSample
+from repro.util.bitpack import pack_fields, unpack_fields
+from repro.util.fp16 import (
+    decompose_float32,
+    dequantize_magnitude,
+    quantize_magnitude,
+)
 
-__all__ = ["decode_delta_reference", "decode_lut_reference"]
+__all__ = [
+    "decode_delta_reference",
+    "decode_lut_reference",
+    "encode_delta_reference",
+]
+
+_INT32_MIN = np.iinfo(np.int32).min
+
+
+def _encode_delta_line(
+    values: np.ndarray, cfg: DeltaCodecConfig
+) -> bytes | None:
+    """DELTA-encode one line; ``None`` when it must be stored RAW (too
+    many literal segments, or no space savings)."""
+    W = values.shape[0]
+    diffs = values[1:] - values[:-1]
+    ndiff = diffs.shape[0]
+    bounds = [
+        (s, min(s + cfg.block_size, ndiff))
+        for s in range(0, ndiff, cfg.block_size)
+    ]
+    nseg = len(bounds)
+
+    _, E, _ = decompose_float32(diffs)
+    finite = np.isfinite(diffs)
+    eoff_max = cfg.eoff_max
+
+    descriptors = np.empty(nseg, dtype=np.int8)
+    seg_bytes: list[np.ndarray | None] = [None] * nseg
+
+    # Pass 1: exponent-window codability + quantization per segment.
+    for k, (s, e) in enumerate(bounds):
+        dE = E[s:e]
+        nz = dE != _INT32_MIN
+        if not finite[s:e].all():
+            descriptors[k] = LITERAL_SEGMENT
+            continue
+        if not nz.any():
+            # all-zero differences: emin is irrelevant, bytes are all 0x00
+            descriptors[k] = 0
+            seg_bytes[k] = np.zeros(e - s, dtype=np.uint8)
+            continue
+        # the 3-bit window hangs from the segment's largest difference;
+        # differences below it flush to the reserved zero byte
+        emax = int(dE[nz].max())
+        emin = max(int(dE[nz].min()), emax - eoff_max)
+        if emin < -127 or emin > 127:
+            descriptors[k] = LITERAL_SEGMENT
+            continue
+        d = diffs[s:e].copy()
+        d[dE < emin] = 0.0
+        sign, eoff, mant = quantize_magnitude(
+            d, emin, cfg.mantissa_bits, cfg.eoff_bits
+        )
+        descriptors[k] = emin
+        seg_bytes[k] = pack_fields(sign, eoff, mant, cfg.mantissa_bits)
+
+    # Pass 2: reconstruct and apply the quality gate per segment.
+    absmax = float(np.max(np.abs(values))) if W else 0.0
+    floor = np.float32(max(cfg.rel_floor * absmax, np.finfo(np.float32).tiny))
+
+    def _literal_anchor(e: int) -> np.float32:
+        # Literal segments store FP16; the decoder chains from the rounded
+        # value, so the encoder's quality gate must do the same.
+        return np.float32(np.float16(values[e]))
+
+    prev = values[0]
+    for k, (s, e) in enumerate(bounds):
+        if descriptors[k] == LITERAL_SEGMENT:
+            prev = _literal_anchor(e)
+            continue
+        if not cfg.quality_gate:
+            continue
+        sign, eoff, mant = unpack_fields(seg_bytes[k], cfg.mantissa_bits)
+        rec = prev + np.cumsum(
+            dequantize_magnitude(sign, eoff, mant, int(descriptors[k]),
+                                 cfg.mantissa_bits),
+            dtype=np.float32,
+        )
+        orig = values[s + 1 : e + 1]
+        err = np.abs(rec - orig)
+        denom = np.maximum(np.abs(orig), floor)
+        if np.any(err / denom > cfg.rel_tol):
+            descriptors[k] = LITERAL_SEGMENT
+            prev = _literal_anchor(e)
+        else:
+            prev = rec[-1]
+
+    n_literal = int(np.count_nonzero(descriptors == LITERAL_SEGMENT))
+    if nseg and n_literal / nseg > cfg.max_literal_frac:
+        return None
+
+    parts = [np.float32(values[0]).tobytes(), descriptors.tobytes()]
+    size = 4 + nseg
+    for k, (s, e) in enumerate(bounds):
+        if descriptors[k] == LITERAL_SEGMENT:
+            lit = values[s + 1 : e + 1].astype(np.float16)
+            parts.append(lit.tobytes())
+            size += 2 * (e - s)
+        else:
+            parts.append(seg_bytes[k].tobytes())
+            size += e - s
+    if size >= 4 * W:  # no savings over a RAW FP32 line
+        return None
+    return b"".join(parts)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # FP32 semantics, as in production
+def encode_delta_reference(
+    image: np.ndarray, config: DeltaCodecConfig | None = None
+) -> DeltaEncodedImage:
+    """Encode one 2-D FP32 channel one line, one segment at a time.
+
+    The encoder side of the reference: compare against
+    :func:`repro.core.encoding.delta.encode_image`, which must emit the
+    identical modes, offsets and payload bytes.
+    """
+    cfg = config or DeltaCodecConfig()
+    image = np.ascontiguousarray(image, dtype=np.float32)
+    if image.ndim != 2:
+        raise ValueError(f"expected 2-D channel image, got shape {image.shape}")
+    H, W = image.shape
+    modes = np.empty(H, dtype=np.uint8)
+    offsets = np.zeros(H + 1, dtype=np.uint64)
+    chunks: list[bytes] = []
+    pos = 0
+    for i in range(H):
+        line = image[i]
+        if W == 1 or (np.isfinite(line).all() and np.all(line == line[0])):
+            modes[i] = LINE_CONST
+            blob = np.float32(line[0]).tobytes()
+        else:
+            payload = _encode_delta_line(line, cfg)
+            if payload is None:
+                modes[i] = LINE_RAW
+                blob = line.tobytes()
+            else:
+                modes[i] = LINE_DELTA
+                blob = payload
+        chunks.append(blob)
+        pos += len(blob)
+        offsets[i + 1] = pos
+    return DeltaEncodedImage(
+        shape=(H, W),
+        line_modes=modes,
+        line_offsets=offsets,
+        payload=b"".join(chunks),
+        config=cfg,
+    )
 
 
 def _read_f32(blob: bytes, offset: int) -> np.float32:
@@ -63,11 +220,12 @@ def _dequantize_byte(byte: int, emin: int, mantissa_bits: int) -> np.float32:
     return np.float32(-mag) if sign else np.float32(mag)
 
 
+@np.errstate(over="ignore")  # beyond FP16's range is ±inf, by the doc
 def decode_delta_reference(enc: DeltaEncodedImage) -> np.ndarray:
     """Decode a delta-encoded channel to FP16, one value at a time.
 
     Independent re-implementation of ``docs/format-delta.md``; compare
-    against :func:`repro.core.encoding.delta.decode_image`.
+    against :func:`repro.core.encoding.delta.decode_images`.
     """
     H, W = enc.shape
     cfg = enc.config

@@ -17,8 +17,9 @@ Layout of a corpus directory::
 Expected arrays are produced by the *reference* decoders
 (:mod:`repro.conformance.reference`) at generation time, so the corpus is
 anchored to the format documentation rather than to any production
-implementation.  Verification checks digests first, then decodes every
-blob through every implementation via the differential harness and
+implementation; delta blobs come from the reference encoder.
+Verification checks digests first, then decodes every blob through the
+reference and production decoders via the differential harness and
 compares each output to the stored expectation bit-for-bit.
 """
 
@@ -43,18 +44,14 @@ from repro.conformance.differential import (
 from repro.conformance.reference import (
     decode_delta_reference,
     decode_lut_reference,
+    encode_delta_reference,
 )
 from repro.core.encoding import container
-from repro.core.encoding.delta import DeltaCodecConfig, encode_image
-from repro.core.encoding.delta_decode_fast import (
-    decode_image_fast,
-    decode_images_fast,
-)
+from repro.core.encoding.delta import DeltaCodecConfig, decode_images
 from repro.core.encoding.lut import (
     LutCodecConfig,
     apply_to_tables,
     decode_sample,
-    decode_samples,
     encode_sample,
 )
 from repro.util.rng import make_rng
@@ -238,10 +235,9 @@ def _batch_cases(seed: int) -> list[dict]:
     """Frozen batched-decode cases: several same-shape samples per case.
 
     The expected array is the *stack* of the per-sample reference
-    decodes; verification additionally runs the vectorized batched
-    decoders (one line pass / one table gather across all members) and
-    the scalar loop, so a future change that breaks cross-sample state
-    in the batched paths fails against frozen ground truth.
+    decodes; verification decodes every member through the reference
+    and the production decoder, so state leaking between the members of
+    a group fails against frozen ground truth.
     """
     cases = []
 
@@ -274,11 +270,12 @@ def _expected_for(case: dict) -> tuple[bytes, np.ndarray]:
     """(container blob, expected decoded array) for one case definition.
 
     The blob comes from the reference-side encoders; the expected array
-    from the *reference* decoder, never from the vectorized paths.
+    from the *reference* decoder, never from the production paths.
     """
     label = np.zeros(1, dtype=np.int8)
     if case["codec"] == "delta-batch":
-        encs = [encode_image(img, case["config"]) for img in case["images"]]
+        encs = [encode_delta_reference(img, case["config"])
+                for img in case["images"]]
         blob = _pack_blob_list(
             [container.pack_delta_sample([e], label) for e in encs]
         )
@@ -290,7 +287,7 @@ def _expected_for(case: dict) -> tuple[bytes, np.ndarray]:
         )
         return blob, np.stack([decode_lut_reference(e) for e in encs])
     if case["codec"] == "delta":
-        enc = encode_image(case["image"], case["config"])
+        enc = encode_delta_reference(case["image"], case["config"])
         blob = container.pack_delta_sample([enc], label)
         return blob, decode_delta_reference(enc)
     enc = encode_sample(case["volume"], case["config"])
@@ -459,8 +456,9 @@ def _verify_batch_case(
     res: VectorCaseResult, entry: dict, blob: bytes, expected: np.ndarray,
     fail,
 ) -> VectorCaseResult:
-    """Verify one batched case: scalar loop and vectorized batch decode
-    must both reproduce the frozen stacked expectation bit-for-bit."""
+    """Verify one batched case: the reference and the per-sample
+    production decode must both reproduce the frozen stacked
+    expectation bit-for-bit."""
     inner_codec = entry["codec"].split("-")[0]
     try:
         encs = []
@@ -480,16 +478,16 @@ def _verify_batch_case(
                 "reference": np.stack(
                     [decode_delta_reference(e) for e in encs]
                 ),
-                "scalar": np.stack([decode_image_fast(e) for e in encs]),
-                "batched": np.stack(decode_images_fast(encs)),
+                "production": np.stack(
+                    [decode_images([e])[0] for e in encs]
+                ),
             }
         else:
             outputs = {
                 "reference": np.stack(
                     [decode_lut_reference(e) for e in encs]
                 ),
-                "scalar": np.stack([decode_sample(e) for e in encs]),
-                "batched": np.stack(decode_samples(encs)),
+                "production": np.stack([decode_sample(e) for e in encs]),
             }
     except Exception as exc:
         fail(f"batched decode failed: {exc!r}")
@@ -503,9 +501,9 @@ def _verify_batch_case(
 def verify_vectors(vec_dir: Path | str) -> VectorReport:
     """Verify a golden-vector corpus without regenerating anything.
 
-    Checks manifest digests, then decodes every blob through every
-    implementation and compares each output bit-for-bit against the
-    frozen expected array.
+    Checks manifest digests, then decodes every blob through the
+    reference and production decoders and compares each output
+    bit-for-bit against the frozen expected array.
     """
     vec_dir = Path(vec_dir)
     report = VectorReport(directory=str(vec_dir))

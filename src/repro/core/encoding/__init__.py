@@ -1,33 +1,23 @@
 """Domain-specific sample encoders/decoders — the paper's core contribution.
 
+One production implementation per codec; the line-at-a-time reference
+coders they are checked against live in :mod:`repro.conformance.reference`.
+
 * :mod:`repro.core.encoding.delta` — DeepCAM differential line codec.
 * :mod:`repro.core.encoding.lut` — CosmoFlow lookup-table codec.
 * :mod:`repro.core.encoding.container` — self-describing sample container.
 * :mod:`repro.core.encoding.analysis` — sample-compressibility analysis.
 """
 
-from repro.core.encoding import (
-    analysis,
-    container,
-    delta,
-    delta_decode_fast,
-    delta_fast,
-    lut,
-)
+from repro.core.encoding import analysis, container, delta, lut
 from repro.core.encoding.delta import DeltaCodecConfig, DeltaEncodedImage
-from repro.core.encoding.delta_decode_fast import decode_image_fast
-from repro.core.encoding.delta_fast import encode_image_fast
 from repro.core.encoding.lut import LutCodecConfig, LutEncodedSample
 
 __all__ = [
     "analysis",
     "container",
     "delta",
-    "delta_decode_fast",
-    "delta_fast",
     "lut",
-    "decode_image_fast",
-    "encode_image_fast",
     "DeltaCodecConfig",
     "DeltaEncodedImage",
     "LutCodecConfig",

@@ -29,7 +29,7 @@ required").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "LutTable",
     "encode_sample",
     "decode_sample",
-    "decode_samples",
     "apply_to_tables",
 ]
 
@@ -227,58 +226,3 @@ def decode_sample(
         slices = (slice(None),) + tuple(slice(lo, hi) for lo, hi in t.region)
         out[slices] = np.moveaxis(block, -1, 0).astype(out_dtype, copy=False)
     return out
-
-
-def decode_samples(
-    encs: Sequence[LutEncodedSample],
-    dtype: np.dtype | str | None = None,
-) -> list[np.ndarray]:
-    """Decode several same-shape samples with **one** table gather.
-
-    All tables of all samples are stacked into one value array, each
-    sample's keys are shifted by its tables' group offsets, and a single
-    fancy index replaces ``N × n_tables`` separate gathers — the batch
-    plane's multi-sample decode for the LUT codec.  Values picked out of
-    the stacked array are byte-for-byte the values the per-table gather
-    would pick (stacking never converts: mismatched table dtypes raise
-    ``ValueError``, as do mixed sample shapes — callers fall back to the
-    scalar loop).
-    """
-    if not encs:
-        return []
-    shape = encs[0].shape
-    vdtype = encs[0].tables[0].values.dtype
-    for enc in encs:
-        if enc.shape != shape:
-            raise ValueError("decode_samples requires one shared shape")
-        for t in enc.tables:
-            if t.values.dtype != vdtype:
-                raise ValueError(
-                    "decode_samples requires one shared table dtype"
-                )
-    out_dtype = np.dtype(dtype) if dtype is not None else vdtype
-    C = shape[0]
-    tables = [t for enc in encs for t in enc.tables]
-    # one concatenated table; each table's keys shift by its group base
-    values = np.concatenate([t.values for t in tables], axis=0)
-    base = 0
-    shifted = []
-    for t in tables:
-        shifted.append(t.keys.astype(np.int64) + base)
-        base += t.n_groups
-    gathered = values[np.concatenate(shifted)]  # one [Σ voxels, C] gather
-    outs = [np.empty(shape, dtype=out_dtype) for _ in encs]
-    pos = 0
-    for out, enc in zip(outs, encs):
-        for t in enc.tables:
-            region_shape = tuple(hi - lo for lo, hi in t.region)
-            nvox = t.keys.size
-            block = gathered[pos:pos + nvox].reshape(*region_shape, C)
-            slices = (slice(None),) + tuple(
-                slice(lo, hi) for lo, hi in t.region
-            )
-            out[slices] = np.moveaxis(block, -1, 0).astype(
-                out_dtype, copy=False
-            )
-            pos += nvox
-    return outs

@@ -23,12 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.encoding import container
-from repro.core.encoding.delta import DeltaCodecConfig
-from repro.core.encoding.delta_fast import encode_image_fast
+from repro.core.encoding.delta import (
+    DeltaCodecConfig,
+    decode_images,
+    encode_image,
+)
 from repro.core.encoding.lut import LutCodecConfig, decode_sample, encode_sample
 from repro.core.plugins.base import SampleCost, SamplePlugin
 from repro.core.plugins.cosmoflow import lut_kernel_cost
-from repro.core.plugins.deepcam import _decode_delta, delta_kernel_cost
+from repro.core.plugins.deepcam import delta_kernel_cost
 
 __all__ = ["AutoPlugin", "CodecChoice", "choose_codec"]
 
@@ -82,7 +85,7 @@ def choose_codec(sample: np.ndarray) -> CodecChoice:
         for ch in data32:
             std = float(ch.std()) or 1.0
             norm = ((ch - ch.mean()) / std).astype(np.float32)
-            e = encode_image_fast(norm)
+            e = encode_image(norm)
             raw += norm.nbytes
             enc += e.nbytes
         ratio = raw / enc
@@ -137,7 +140,7 @@ class AutoPlugin(SamplePlugin):
             std = np.where(std < 1e-12, 1.0, std)
             bc = (slice(None),) + (None,) * (data32.ndim - 1)
             norm = (data32 - mean[bc]) / std[bc]
-            channels = [encode_image_fast(ch, self.delta_config) for ch in norm]
+            channels = [encode_image(ch, self.delta_config) for ch in norm]
             return container.pack_delta_sample(
                 channels, label,
                 extra={"auto_reason": choice.reason,
@@ -178,7 +181,7 @@ def _decode_any(unpacked) -> np.ndarray:
     if codec == "lut":
         return decode_sample(payload, dtype=np.float16)
     if codec == "delta":
-        return _decode_delta(payload)
+        return decode_images(payload)
     return payload
 
 

@@ -206,34 +206,19 @@ class SamplePlugin(abc.ABC):
             )
         return payload, label
 
-    def _decode_slots(
-        self, blobs, device, one, many=None, cost=None, post=None
-    ) -> list:
+    def _decode_slots(self, blobs, device, one, cost=None, post=None) -> list:
         """The body of a :meth:`decode_group`, stage by stage, per slot.
 
-        Every blob is unpacked once (:meth:`_unpack`).  ``many`` decodes
-        all of a group's payloads in one vectorized pass when there is
-        more than one; if it raises (mixed shapes), ``one`` decodes them
-        payload by payload.  ``cost(payload, tensor, spec)`` is the
-        plugin's kernel-cost formula, charged by :meth:`_charge`, and
-        ``post`` is a chain applied as one pass over each tensor.
+        Every blob is unpacked once (:meth:`_unpack`) and ``one`` decodes
+        each payload on its own: a sample's working set stays small, and
+        a group amortizes only what is truly shared — the merged device
+        launches.  ``cost(payload, tensor, spec)`` is the plugin's
+        kernel-cost formula, charged by :meth:`_charge`, and ``post`` is
+        a chain applied as one pass over each tensor.
         """
         unpacked = _each(self._unpack, blobs)
         payloads = _each(lambda pair: pair[0], unpacked)
-        good = [p for p in payloads if not isinstance(p, Exception)]
-        tensors = None
-        if many is not None and len(good) > 1:
-            try:
-                decoded = iter(many(good))
-            except Exception:  # noqa: BLE001 — decoded one by one below
-                pass
-            else:
-                tensors = [
-                    p if isinstance(p, Exception) else next(decoded)
-                    for p in payloads
-                ]
-        if tensors is None:
-            tensors = _each(one, payloads)
+        tensors = _each(one, payloads)
         if cost is not None:
             self._charge(device, lambda spec: [
                 cost(payload, tensor, spec)

@@ -27,7 +27,6 @@ from repro.core.encoding.lut import (
     LutCodecConfig,
     apply_to_tables,
     decode_sample,
-    decode_samples,
     encode_sample,
 )
 from repro.core.plugins.base import FusedStep, SampleCost, SamplePlugin
@@ -147,9 +146,7 @@ class CosmoflowLutPlugin(SamplePlugin):
         (``f(table)[keys] == f(table[keys])`` element for element), so
         applying the chain to a few hundred table values before the
         gather produces the identical tensor at a fraction of the work —
-        the paper's ``log1p``+FP16 reordering, derived generically.  A
-        group of more than one same-shape sample expands in one stacked
-        gather (:func:`decode_samples`).
+        the paper's ``log1p``+FP16 reordering, derived generically.
         """
 
         def fold(enc):
@@ -159,7 +156,6 @@ class CosmoflowLutPlugin(SamplePlugin):
         return self._decode_slots(
             blobs, device,
             one=lambda enc: decode_sample(fold(enc)),
-            many=lambda encs: decode_samples([fold(enc) for enc in encs]),
             cost=lambda enc, out, spec: lut_kernel_cost(enc, out, table_pass),
         )
 

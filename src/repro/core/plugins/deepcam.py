@@ -25,12 +25,11 @@ import numpy as np
 
 from repro.accel.warp import estimate_delta_decode_time
 from repro.core.encoding import container
-from repro.core.encoding.delta import DeltaCodecConfig
-from repro.core.encoding.delta_decode_fast import (
-    decode_image_fast,
-    decode_images_fast,
+from repro.core.encoding.delta import (
+    DeltaCodecConfig,
+    decode_images,
+    encode_image,
 )
-from repro.core.encoding.delta_fast import encode_image_fast
 from repro.core.plugins.base import SampleCost, SamplePlugin
 
 __all__ = [
@@ -92,30 +91,6 @@ def delta_kernel_cost(channels, out: np.ndarray, spec) -> list[tuple]:
     return [("delta_decode", moved, 0.0, seconds)]
 
 
-def _decode_delta(channels) -> np.ndarray:
-    """One sample's FP16 tensor: one column walk per channel."""
-    H, W = channels[0].shape
-    out = np.empty((len(channels), H, W), dtype=np.float16)
-    for c, enc in enumerate(channels):
-        decode_image_fast(enc, out=out[c])
-    return out
-
-
-def _decode_deltas(samples) -> list[np.ndarray]:
-    """Every channel of every same-shape sample in one column walk
-    (:func:`decode_images_fast`); mixed shapes raise ``ValueError``."""
-    C = len(samples[0])
-    if any(len(channels) != C for channels in samples):
-        raise ValueError("mixed channel counts")
-    H, W = samples[0][0].shape
-    outs = [np.empty((C, H, W), dtype=np.float16) for _ in samples]
-    decode_images_fast(
-        [enc for channels in samples for enc in channels],
-        outs=[out[c] for out in outs for c in range(C)],
-    )
-    return outs
-
-
 class DeepcamBaselinePlugin(SamplePlugin):
     """Raw FP32 storage + CPU normalization — the paper's baseline."""
 
@@ -175,23 +150,20 @@ class DeepcamDeltaPlugin(SamplePlugin):
         data = np.ascontiguousarray(data, dtype=np.float32)
         mean, std = channel_stats(data)
         normalized = _normalize(data, mean, std)
-        channels = [encode_image_fast(ch, self.config) for ch in normalized]
+        channels = [encode_image(ch, self.config) for ch in normalized]
         return container.pack_delta_sample(
             channels, label, extra={"mean": mean.tolist(), "std": std.tolist()}
         )
 
     def decode_group(self, blobs, func=None, device=None) -> list:
-        """Decode every sample's lines; ``func`` runs as one pass after.
+        """Decode each sample's lines; ``func`` runs as one pass after.
 
-        A group of more than one same-shape sample joins one mode-grouped
-        column walk (:func:`decode_images_fast`), bit-identical to the
-        per-channel walk of a group of one by construction (the batched
-        decoder runs the very same line kernel); mixed shapes decode
-        sample by sample.
+        Each sample's channels decode in one line pass
+        (:func:`~repro.core.encoding.delta.decode_images`).
         """
         return self._decode_slots(
-            blobs, device, one=_decode_delta, many=_decode_deltas,
-            cost=delta_kernel_cost, post=func,
+            blobs, device, one=decode_images, cost=delta_kernel_cost,
+            post=func,
         )
 
     def declare_preprocessing(

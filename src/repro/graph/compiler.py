@@ -208,7 +208,7 @@ class CompiledPlan:
 
         ``batch_size`` applies the decode node's declared
         batch-amortization: with fixed-fraction ``f = batch_overhead``,
-        a vectorized decode of ``B`` samples costs each sample
+        a group decode of ``B`` samples costs each sample
         ``1 - f + f/B`` of its scalar decode (``B = 1`` reproduces the
         scalar cost exactly).
         """

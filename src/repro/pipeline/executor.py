@@ -123,7 +123,7 @@ class PrefetchExecutor:
         Group size.  ``1`` is scalar mode (``source.read`` +
         ``plugin.decode`` per sample); with ``B > 1`` each group costs
         one batched fetch (``read_batch_slots``: one wire round-trip /
-        one seek pass) and one vectorized multi-sample decode.  Per-slot
+        one seek pass) and one ``decode_group`` call.  Per-slot
         failures are delivered exactly like scalar-mode failures, and a
         ``run_batch`` call that raises as a whole fails every slot of
         that group only.  Results are bit-identical across group sizes by

@@ -91,7 +91,7 @@ class Pipeline:
         Each stage sees the group's surviving items in one
         :meth:`Op.run_group` call, so a stage that can amortize across
         samples does (``ReadOp``: one batched fetch, ``DecodeOp``: one
-        vectorized decode) whatever chain it sits in — batching changes
+        ``decode_group`` call) whatever chain it sits in — batching changes
         when fixed costs are paid, never a result bit.  A slot leaves the
         walk when its stage fails it or a compiled filter sets
         ``item.meta['dropped']`` (the item comes back marked and the

@@ -106,8 +106,8 @@ class DataLoader:
         Make ``batch_size`` the executor's group size
         (``fetch_batch_size``; otherwise 1), so each training batch
         costs one batched read (one wire round-trip against a remote
-        source) and one ``decode_group`` call (one vectorized
-        multi-sample decode) instead of ``batch_size`` scalar ones.
+        source) and one ``decode_group`` call instead of ``batch_size``
+        scalar ones.
         Bit-identical to group size 1 by the batch plane's contract
         (``check_batch_equivalence``); failure semantics
         (``bad_sample_policy``, quarantine, degraded accounting) are

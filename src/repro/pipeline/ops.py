@@ -49,8 +49,8 @@ class Op(abc.ABC):
     ``__call__`` transforms one item; :meth:`run_group` is what the
     pipeline actually invokes — a whole group of items at once, so a
     stage that can amortize work across samples (one batched fetch, one
-    vectorized decode) overrides it, and every other stage inherits the
-    per-item loop.
+    ``decode_group`` call) overrides it, and every other stage inherits
+    the per-item loop.
     """
 
     #: stage name used for time attribution

@@ -119,3 +119,24 @@ def test_one_decode_contract():
     assert len(plugins) == 5
     with pytest.raises(ImportError):
         importlib.import_module("repro.accel.kernels")
+
+
+def test_one_codec_path():
+    """One production module per codec, and a group decode that loops.
+
+    ``repro.core.encoding`` holds the two codecs, the container and the
+    analysis and nothing else: the retired delta variants are gone, no
+    codec offers a cross-sample decode, and the plugins' shared decode
+    body takes no multi-sample hook.
+    """
+    import repro.core.encoding as encoding
+    from repro.core.encoding import lut
+    from repro.core.plugins.base import SamplePlugin
+
+    submodules = {info.name for info in pkgutil.iter_modules(encoding.__path__)}
+    assert submodules == {"analysis", "container", "delta", "lut"}
+    for name in ("delta_fast", "delta_decode_fast", "delta_greedy"):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.core.encoding.{name}")
+    assert not hasattr(lut, "decode_samples")
+    assert "many" not in inspect.signature(SamplePlugin._decode_slots).parameters

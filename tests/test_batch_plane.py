@@ -1,5 +1,5 @@
 """The batch plane, end to end: scatter-gather framing, batched sources,
-vectorized multi-sample decode, executor batch mode, and the conformance
+group decode, executor batch mode, and the conformance
 checks that hold every batched path bit-identical to the scalar one.
 
 Layered to match docs/batching.md:
@@ -12,8 +12,8 @@ Layered to match docs/batching.md:
   loop for every source, under arbitrary batch sizes, orderings and
   duplicated indices (Hypothesis property tests);
 * decode — ``check_batch_equivalence`` proves a ``decode_group`` ≡ a
-  scalar decode loop for both workload plugins, including the
-  mixed-shape fallback and simulated-GPU accounting;
+  scalar decode loop for both workload plugins, including mixed-shape
+  groups and simulated-GPU accounting;
 * executor/loader — ``batched_fetch=True`` yields bit-identical epochs
   across worker counts for compiled plans (whose fetch and decode must
   both ride the batch plane), with unchanged quarantine
@@ -489,7 +489,7 @@ class TestBatchReadProperties:
 
 
 # --------------------------------------------------------------------------
-# vectorized decode conformance
+# group decode conformance
 # --------------------------------------------------------------------------
 
 
@@ -505,8 +505,8 @@ class TestBatchDecodeEquivalence:
         check_batch_equivalence(plugin, blobs).raise_if_failed()
 
     def test_mixed_shape_batch_falls_back_bit_identically(self):
-        """Samples of different geometry can't stack into one vectorized
-        pass; the fallback loop must still be bit-identical."""
+        """A group of samples of different geometry decodes bit-identically
+        to its members one by one."""
         plugin = DeepcamDeltaPlugin("cpu")
         blobs = []
         for h, w, seed in ((8, 12, 1), (16, 8, 2), (8, 12, 3)):

@@ -27,9 +27,14 @@ from repro.conformance.differential import (
     lut_config_from_dict,
     lut_config_to_dict,
 )
-from repro.core.encoding.delta import DeltaCodecConfig, decode_image, encode_image
+from repro.core.encoding.delta import DeltaCodecConfig, decode_images, encode_image
 from repro.core.encoding.lut import LutCodecConfig, decode_sample, encode_sample
 from repro.util.rng import make_rng
+
+
+def decode_image(enc):
+    """One channel through the production decoder."""
+    return decode_images([enc])[0]
 
 
 def _smooth(rng, H, W, scale=1e-3):
@@ -124,7 +129,7 @@ class TestDifferentialHarness:
     def test_delta_outputs_cover_all_paths(self):
         enc = encode_image(_smooth(make_rng(6), 6, 30))
         outs = delta_decode_outputs(enc)
-        assert set(outs) == {"reference", "loop", "vectorized"}
+        assert set(outs) == {"reference", "production"}
         assert not compare_against(outs)
 
     def test_lut_outputs_cover_all_paths(self):
@@ -144,12 +149,12 @@ class TestDifferentialHarness:
     def test_compare_catches_single_bit_flip(self):
         enc = encode_image(_smooth(make_rng(8), 4, 20))
         outs = delta_decode_outputs(enc)
-        bad = outs["vectorized"].copy()
+        bad = outs["production"].copy()
         bad.view(np.uint16).reshape(-1)[5] ^= 1
-        outs["vectorized"] = bad
+        outs["production"] = bad
         mismatches = compare_against(outs)
         assert len(mismatches) == 1
-        assert mismatches[0].impl == "vectorized"
+        assert mismatches[0].impl == "production"
         assert "1/80 elements differ" in mismatches[0].detail
 
     def test_compare_catches_shape_and_dtype_drift(self):
@@ -172,15 +177,15 @@ class TestDifferentialHarness:
         """End-to-end: a wrong implementation fails the case report."""
         import repro.conformance.differential as diff
 
-        def bad_decode(enc, out=None):
-            res = diff.decode_image(enc, out=out)
+        def bad_decode(encs, out=None):
+            res = decode_images(encs, out)
             res.view(np.uint16).reshape(-1)[0] ^= 0x8000
             return res
 
-        monkeypatch.setattr(diff, "decode_image_fast", bad_decode)
+        monkeypatch.setattr(diff, "decode_images", bad_decode)
         report = check_delta_case(_smooth(make_rng(9), 4, 16))
         assert not report.ok
-        assert any(m.impl == "vectorized" for m in report.mismatches)
+        assert any(m.impl == "production" for m in report.mismatches)
 
 
 class TestConfigRoundTrip:

@@ -1,8 +1,8 @@
 """Differential fuzzing: ≥1000 structured cases per codec, every run.
 
-This is the acceptance gate the kit exists for: every delta decode
-implementation (loop reference-from-docs, production loop, vectorized)
-and every LUT decode path must agree bit-for-bit on
+This is the acceptance gate the kit exists for: each codec's production
+encoder and decoder must agree bit-for-bit with the loop reference coders
+written from the docs on
 1000+ fuzzer-generated samples per codec, every tier-1 run.  The crash
 corpus (``tests/crashes/``) is replayed too, so past failures stay fixed.
 """
@@ -20,7 +20,7 @@ from repro.conformance.fuzzer import (
     gen_lut_case,
     save_crash,
 )
-from repro.core.encoding.delta import DeltaCodecConfig
+from repro.core.encoding.delta import DeltaCodecConfig, decode_images
 from repro.util.rng import make_rng
 
 CRASH_DIR = Path(__file__).parent / "crashes"
@@ -140,12 +140,12 @@ class TestCrashCorpus:
         reproducer keeps failing on replay until the codec is fixed."""
         import repro.conformance.differential as diff
 
-        def bad_decode(enc, out=None):
-            res = diff.decode_image(enc, out=out)
+        def bad_decode(encs, out=None):
+            res = decode_images(encs, out)
             res.view(np.uint16).reshape(-1)[0] ^= 1
             return res
 
-        monkeypatch.setattr(diff, "decode_image_fast", bad_decode)
+        monkeypatch.setattr(diff, "decode_images", bad_decode)
         report = fuzz("delta", samples=3, seed=1, crash_dir=tmp_path)
         assert not report.ok
         assert report.saved and list(tmp_path.glob("*.npz"))
@@ -159,10 +159,10 @@ class TestCrashCorpus:
         with repr + traceback, and is saved for replay."""
         import repro.conformance.differential as diff
 
-        def explode(enc, out=None):
+        def explode(encs, out=None):
             raise RuntimeError("kernel exploded")
 
-        monkeypatch.setattr(diff, "decode_image_fast", explode)
+        monkeypatch.setattr(diff, "decode_images", explode)
         report = fuzz("delta", samples=2, seed=1, crash_dir=tmp_path)
         assert report.crashes
         rec = report.crashes[0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.encoding import container
-from repro.core.encoding.delta import DeltaCodecConfig, decode_image, encode_image
+from repro.core.encoding.delta import DeltaCodecConfig, decode_images, encode_image
 from repro.core.encoding.lut import decode_sample, encode_sample
 
 
@@ -51,7 +51,7 @@ class TestDeltaContainer:
         assert codec == "delta"
         assert len(out_channels) == len(channels)
         for a, b in zip(channels, out_channels):
-            assert np.array_equal(decode_image(a), decode_image(b))
+            assert np.array_equal(decode_images([a]), decode_images([b]))
         assert np.array_equal(lab, label)
 
     def test_config_roundtrips(self):
@@ -229,7 +229,7 @@ class TestV1BackwardCompatibility:
         blob = container.pack_delta_sample(channels, np.zeros(1), version=1)
         _, out_channels, _, _ = container.unpack_sample(blob)
         for a, b in zip(channels, out_channels):
-            assert np.array_equal(decode_image(a), decode_image(b))
+            assert np.array_equal(decode_images([a]), decode_images([b]))
 
     def test_lut_v1_roundtrip(self):
         rng = np.random.default_rng(4)

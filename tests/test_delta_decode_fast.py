@@ -1,4 +1,5 @@
-"""Equivalence tests: vectorized decoder vs reference decoder."""
+"""Equivalence tests: the production (vectorized) decoder against the
+value-at-a-time reference decoder, bit for bit."""
 
 import numpy as np
 import pytest
@@ -6,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.encoding.delta import DeltaCodecConfig, decode_image, encode_image
-from repro.core.encoding.delta_decode_fast import decode_image_fast
-from repro.core.encoding.delta_fast import encode_image_fast
+from repro.conformance import decode_delta_reference, encode_delta_reference
+from repro.core.encoding.delta import (
+    DeltaCodecConfig,
+    decode_images,
+    encode_image,
+)
 from repro.core.plugins.deepcam import _normalize, channel_stats
 from repro.datasets import deepcam
 
 
 def assert_decodes_identically(img, cfg=None):
     enc = encode_image(img, cfg)
-    ref = decode_image(enc)
-    fast = decode_image_fast(enc)
+    ref = decode_delta_reference(enc)
+    fast = decode_images([enc])[0]
     # bit-identical including NaN positions
     assert np.array_equal(
         ref.view(np.uint16), fast.view(np.uint16)
@@ -76,13 +80,14 @@ class TestEquivalence:
             assert_decodes_identically(img, cfg)
 
     def test_works_on_fast_encoder_output(self):
+        """Also bit-identical on the reference encoder's streams."""
         rng = np.random.default_rng(4)
         img = (np.cumsum(rng.normal(0, 0.01, (10, 150)), axis=1) + 1.0
                ).astype(np.float32)
-        enc = encode_image_fast(img)
+        enc = encode_delta_reference(img)
         assert np.array_equal(
-            decode_image(enc).view(np.uint16),
-            decode_image_fast(enc).view(np.uint16),
+            decode_delta_reference(enc).view(np.uint16),
+            decode_images([enc])[0].view(np.uint16),
         )
 
     def test_out_buffer(self):
@@ -90,11 +95,11 @@ class TestEquivalence:
         img = (np.cumsum(rng.normal(0, 0.01, (4, 64)), axis=1) + 1.0
                ).astype(np.float32)
         enc = encode_image(img)
-        buf = np.empty((4, 64), dtype=np.float16)
-        res = decode_image_fast(enc, out=buf)
+        buf = np.empty((1, 4, 64), dtype=np.float16)
+        res = decode_images([enc], out=buf)
         assert res is buf
         with pytest.raises(ValueError):
-            decode_image_fast(enc, out=np.empty((4, 64), np.float32))
+            decode_images([enc], out=np.empty((1, 4, 64), np.float32))
 
     @given(
         hnp.arrays(

@@ -93,7 +93,7 @@ class TestContainerFuzz:
     def test_unverified_decode_still_fails_cleanly(self, pos, value):
         """Opting out of verification may decode wrong values but must
         never raise an unexpected exception type or hang."""
-        from repro.core.encoding.delta import decode_image
+        from repro.core.encoding.delta import decode_images
 
         blob = bytearray(_sample_blob())
         start = _payload_start(blob)
@@ -108,8 +108,8 @@ class TestContainerFuzz:
         if codec == "delta":
             for enc in payload:
                 try:
-                    out = decode_image(enc)
-                    assert out.shape == enc.shape
+                    out = decode_images([enc])
+                    assert out.shape == (1, *enc.shape)
                 except _EXPECTED:
                     return
 

@@ -8,8 +8,8 @@ configuration — the LUT plugin on the CPU, on the GPU and without
 ``log1p``; the delta plugin on the CPU and the GPU; both baselines; and
 ``AutoPlugin`` on LUT, delta and raw data:
 
-* a group decodes bit-for-bit like its members one by one — same-shape
-  (the vectorized paths), mixed-shape, single-blob and empty groups;
+* a group decodes bit-for-bit like its members one by one — same-shape,
+  mixed-shape, single-blob and empty groups;
 * ``decode_group(b, f)`` is ``f(decode_raw(b))`` for the declared chain;
 * a bad blob fails its own slot only, and every blob is unpacked once;
 * a GPU-placed decode charges the device exactly the launches the
