@@ -8,8 +8,9 @@ same decoders), and this package is the machine-checked guarantee that
 it matches an independent reference:
 
 * :mod:`repro.conformance.reference` — obviously-correct, loop-based
-  decoders for both codecs and the line-at-a-time delta encoder, written
-  straight from ``docs/format-delta.md`` and ``docs/format-lut.md``.
+  decoders for both codecs, the line-at-a-time delta encoder and the
+  row-wise ``np.unique`` LUT encoder, written straight from
+  ``docs/format-delta.md`` and ``docs/format-lut.md``.
 * :mod:`repro.conformance.differential` — runs one sample through the
   reference and production coders (and the container round-trip) and
   reports the first bit-level disagreement.
@@ -37,6 +38,7 @@ from repro.conformance.reference import (
     decode_delta_reference,
     decode_lut_reference,
     encode_delta_reference,
+    encode_lut_reference,
 )
 from repro.conformance.vectors import (
     generate_vectors,
@@ -56,6 +58,7 @@ __all__ = [
     "decode_lut_reference",
     "delta_decode_outputs",
     "encode_delta_reference",
+    "encode_lut_reference",
     "fuzz",
     "generate_vectors",
     "lut_decode_outputs",

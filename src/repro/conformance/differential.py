@@ -25,6 +25,7 @@ from repro.conformance.reference import (
     decode_delta_reference,
     decode_lut_reference,
     encode_delta_reference,
+    encode_lut_reference,
 )
 from repro.core.encoding import container
 from repro.core.encoding.delta import (
@@ -261,23 +262,32 @@ def check_lut_case(
 ) -> CaseReport:
     """Encode one volume, decode with every path, plain and fused.
 
-    Checks (1) the container round-trip preserves keys/tables exactly,
-    (2) the plain decode paths agree at the native dtype, and (3) the
-    fused ``log1p`` + FP16 paths agree — the paper's operator reordering
-    must not change a single bit.
+    Checks (1) the production encoder matches the reference encoder
+    byte for byte, (2) the container round-trip preserves keys/tables
+    exactly, (3) the plain decode paths agree at the native dtype, and
+    (4) the fused ``log1p`` + FP16 paths agree — the paper's operator
+    reordering must not change a single bit.
     """
     cfg = config or LutCodecConfig()
     report = CaseReport(codec="lut")
-    enc = encode_sample(volume, cfg)
-    report.impls = ["container", REFERENCE, "gather",
+    enc = encode_lut_reference(volume, cfg)
+    report.impls = ["encoder-" + REFERENCE, "encoder-" + PRODUCTION,
+                    "container", REFERENCE, "gather",
                     "fused-" + REFERENCE, "fused-gather"]
+
+    reason = _lut_enc_equal(enc, encode_sample(volume, cfg))
+    if reason is not None:
+        report.mismatches.append(Mismatch(
+            "encoder-" + PRODUCTION, "encoder-" + REFERENCE, reason
+        ))
 
     blob = container.pack_lut_sample(enc, np.zeros(1, dtype=np.float32))
     _, enc2, _, _ = container.unpack_sample(blob)
     reason = _lut_enc_equal(enc, enc2)
     if reason is not None:
         report.mismatches.append(
-            Mismatch("container", "encoder", f"round-trip: {reason}")
+            Mismatch("container", "encoder-" + REFERENCE,
+                     f"round-trip: {reason}")
         )
 
     report.mismatches.extend(compare_against(lut_decode_outputs(enc)))

@@ -5,9 +5,11 @@ implementations: every byte is interpreted with scalar reads and explicit
 Python loops following ``docs/format-delta.md`` and ``docs/format-lut.md``
 line by line.  The delta encoder works one line at a time, segment by
 segment, sharing only the bit-field helpers of :mod:`repro.util` with the
-production encoder.  Together they are the independent ground truth the
-differential harness (:mod:`repro.conformance.differential`) measures the
-production codec against — slow, but obviously correct.
+production encoder; the LUT encoder finds each region's groups with a
+row-wise ``np.unique(axis=0)``, the sort the production encoder replaces
+with one over packed keys.  Together they are the independent ground
+truth the differential harness (:mod:`repro.conformance.differential`)
+measures the production codec against — slow, but obviously correct.
 
 Bit-exactness rules the docs pin down and these functions follow:
 
@@ -33,7 +35,7 @@ from repro.core.encoding.delta import (
     DeltaCodecConfig,
     DeltaEncodedImage,
 )
-from repro.core.encoding.lut import LutEncodedSample
+from repro.core.encoding.lut import LutCodecConfig, LutEncodedSample, LutTable
 from repro.util.bitpack import pack_fields, unpack_fields
 from repro.util.fp16 import (
     decompose_float32,
@@ -45,6 +47,7 @@ __all__ = [
     "decode_delta_reference",
     "decode_lut_reference",
     "encode_delta_reference",
+    "encode_lut_reference",
 ]
 
 _INT32_MIN = np.iinfo(np.int32).min
@@ -318,3 +321,42 @@ def decode_lut_reference(
             for c in range(C):
                 out[(c, *dest)] = group[c]
     return out
+
+
+def encode_lut_reference(
+    sample: np.ndarray, config: LutCodecConfig | None = None
+) -> LutEncodedSample:
+    """Encode a LUT sample with a row-wise ``np.unique`` per region.
+
+    Follows ``docs/format-lut.md``: the unique C-groups of a region,
+    sorted lexicographically, index it with the narrowest key width; a
+    region over ``max_groups_per_table`` groups splits in half along its
+    longest axis, first half first.  Compare against
+    :func:`repro.core.encoding.lut.encode_sample`.
+    """
+    cfg = config or LutCodecConfig()
+    sample = np.asarray(sample)
+    C = sample.shape[0]
+    tables: list[LutTable] = []
+
+    def encode(region):
+        sub = sample[(slice(None),) + tuple(slice(*r) for r in region)]
+        groups = np.ascontiguousarray(np.moveaxis(sub, 0, -1)).reshape(-1, C)
+        values, keys = np.unique(groups, axis=0, return_inverse=True)
+        if values.shape[0] <= cfg.max_groups_per_table:
+            width = np.uint8 if values.shape[0] <= 256 else np.uint16
+            tables.append(LutTable(region, keys.reshape(-1).astype(width),
+                                   values))
+            return
+        axis = int(np.argmax([hi - lo for lo, hi in region]))
+        lo, hi = region[axis]
+        if hi - lo < 2:
+            raise ValueError("region not splittable further")
+        mid = (lo + hi) // 2
+        for half in ((lo, mid), (mid, hi)):
+            encode(tuple(half if a == axis else r
+                         for a, r in enumerate(region)))
+
+    encode(tuple((0, n) for n in sample.shape[1:]))
+    return LutEncodedSample(shape=tuple(sample.shape), tables=tables,
+                            dtype=sample.dtype)

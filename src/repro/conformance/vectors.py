@@ -45,6 +45,7 @@ from repro.conformance.reference import (
     decode_delta_reference,
     decode_lut_reference,
     encode_delta_reference,
+    encode_lut_reference,
 )
 from repro.core.encoding import container
 from repro.core.encoding.delta import DeltaCodecConfig, decode_images
@@ -52,7 +53,6 @@ from repro.core.encoding.lut import (
     LutCodecConfig,
     apply_to_tables,
     decode_sample,
-    encode_sample,
 )
 from repro.util.rng import make_rng
 
@@ -281,7 +281,8 @@ def _expected_for(case: dict) -> tuple[bytes, np.ndarray]:
         )
         return blob, np.stack([decode_delta_reference(e) for e in encs])
     if case["codec"] == "lut-batch":
-        encs = [encode_sample(v, case["config"]) for v in case["volumes"]]
+        encs = [encode_lut_reference(v, case["config"])
+                for v in case["volumes"]]
         blob = _pack_blob_list(
             [container.pack_lut_sample(e, label) for e in encs]
         )
@@ -290,7 +291,7 @@ def _expected_for(case: dict) -> tuple[bytes, np.ndarray]:
         enc = encode_delta_reference(case["image"], case["config"])
         blob = container.pack_delta_sample([enc], label)
         return blob, decode_delta_reference(enc)
-    enc = encode_sample(case["volume"], case["config"])
+    enc = encode_lut_reference(case["volume"], case["config"])
     blob = container.pack_lut_sample(enc, label)
     if case.get("transform") == "log1p-fp16":
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.encoding.lut import unique_groups
+
 __all__ = [
     "CosmoSampleStats",
     "DeepcamLineStats",
@@ -79,8 +81,7 @@ def analyze_cosmoflow_sample(sample: np.ndarray) -> CosmoSampleStats:
     C = sample.shape[0]
     flat = sample.reshape(C, -1)
     uniq_vals, counts = np.unique(flat, return_counts=True)
-    groups = np.ascontiguousarray(flat.T)
-    uniq_groups = np.unique(groups, axis=0)
+    uniq_groups, _ = unique_groups(flat)
     freqs = np.sort(counts)[::-1]
     return CosmoSampleStats(
         n_values=int(flat.size),

@@ -357,17 +357,19 @@ def unpack_sample(data: bytes, *, verify: bool = True, sample_id=None):
         C = shape[0]
         tables = []
         for i, tmeta in enumerate(header["tables"]):
+            # read-only views of the blob: the decoder only gathers from them
             keys = np.frombuffer(
                 section(2 * i), dtype=np.dtype(tmeta["key_dtype"])
-            ).copy()
+            )
             values = np.frombuffer(
                 section(2 * i + 1), dtype=np.dtype(tmeta["value_dtype"])
             ).reshape(tmeta["n_groups"], C)
+            keys.flags.writeable = values.flags.writeable = False
             tables.append(
                 LutTable(
                     region=tuple(tuple(r) for r in tmeta["region"]),
                     keys=keys,
-                    values=values.copy(),
+                    values=values,
                 )
             )
         enc = LutEncodedSample(

@@ -28,7 +28,12 @@ from repro.core.encoding.delta import (
     decode_images,
     encode_image,
 )
-from repro.core.encoding.lut import LutCodecConfig, decode_sample, encode_sample
+from repro.core.encoding.lut import (
+    LutCodecConfig,
+    decode_sample,
+    encode_sample,
+    unique_groups,
+)
 from repro.core.plugins.base import SampleCost, SamplePlugin
 from repro.core.plugins.cosmoflow import lut_kernel_cost
 from repro.core.plugins.deepcam import delta_kernel_cost
@@ -62,8 +67,7 @@ def choose_codec(sample: np.ndarray) -> CodecChoice:
         np.all(np.mod(flat, 1) == 0)
     )
     if int_like:
-        groups = np.unique(np.ascontiguousarray(flat.T), axis=0)
-        G = groups.shape[0]
+        G = unique_groups(flat)[0].shape[0]
         if G <= 1 << 16:
             key_width = 1 if G <= 256 else 2
             est = n_voxels * key_width + G * C * sample.dtype.itemsize

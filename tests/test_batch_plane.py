@@ -709,6 +709,36 @@ class TestLoaderBatchMode:
         assert got == reference
         assert snap["remote.read_batch"][0] == 3  # one per batch
 
+    def test_record_file_epoch_over_the_batch_plane(self, tmp_path):
+        """A generated record file served over the wire: the batched remote
+        epoch is the scalar local one, in one READ_BATCH frame per batch,
+        and a group decode of its blobs is the scalar loop."""
+        from repro.cli import main
+
+        path = str(tmp_path / "batch.rec")
+        assert main(["generate", "--workload", "deepcam", "--representation",
+                     "plugin", "--count", "24", "--size", "16",
+                     "--output", path]) == 0
+        plugin = DeepcamDeltaPlugin("cpu")
+
+        def epoch(src, batched):
+            loader = DataLoader(src, plugin, batch_size=8, seed=0,
+                                batched_fetch=batched)
+            return [(t.tobytes(), l.tobytes())
+                    for batch, labels in loader.batches(0)
+                    for t, l in zip(batch, labels)]
+
+        with TfRecordSource(path) as source:
+            with DataServer(source) as server:
+                with RemoteSource(*server.address) as remote:
+                    batched = epoch(remote, True)
+                    frames = remote.stats.snapshot()["remote.read_batch"][0]
+            assert frames == 3
+            assert len(batched) == 24
+            assert batched == epoch(source, False)
+            blobs = [source.read(i) for i in range(8)]
+        check_batch_equivalence(plugin, blobs).raise_if_failed()
+
 
 # --------------------------------------------------------------------------
 # tune: the batch-size axis

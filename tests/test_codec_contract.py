@@ -7,8 +7,10 @@ rule runs for the delta codec and for the LUT codec, plain and with the
 fused ``log1p`` + FP16 chain folded into its tables:
 
 * the production decoder is the reference decoder, bit for bit;
-* the production delta encoder is the reference encoder, byte for byte
-  (the LUT codec has one encoder, pinned by its lossless round trip);
+* the production encoders are the reference encoders, byte for byte —
+  delta under Hypothesis-drawn images, LUT (packed-key sort against the
+  row-wise ``np.unique``) under Hypothesis-drawn volumes, as the same
+  container blob;
 * the round trip stays within the documented bound — LUT lossless, delta
   within its quality gate;
 * a part decodes alike alone and within its sample — a delta channel
@@ -32,6 +34,7 @@ from repro.conformance import (
     decode_delta_reference,
     decode_lut_reference,
     encode_delta_reference,
+    encode_lut_reference,
 )
 from repro.core.encoding import container
 from repro.core.encoding.delta import (
@@ -195,6 +198,48 @@ def test_the_delta_encoder_is_the_reference(case):
     assert got.line_modes.tobytes() == want.line_modes.tobytes()
     assert got.line_offsets.tobytes() == want.line_offsets.tobytes()
     assert got.payload == want.payload
+
+
+# -- the LUT encoder against its reference -----------------------------------
+
+#: lanes that pack into one uint64 key, and the fallbacks (C=5 int16, C>=3
+#: int32) that keep the row-wise sort
+_LUT_DTYPES = (np.int16, np.uint8, np.int32)
+
+
+@st.composite
+def _lut_inputs(draw):
+    """A small volume of C ∈ 1..5 channels whose values mix each dtype's
+    extremes with a few small counts, split over many tables when
+    ``max_groups_per_table`` is small."""
+    dtype = np.dtype(draw(st.sampled_from(_LUT_DTYPES)))
+    info = np.iinfo(dtype)
+    alphabet = sorted({int(info.min), int(info.max), 0, 1, 2, 7,
+                       -1 if info.min < 0 else 3})
+    C = draw(st.integers(1, 5))
+    spatial = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    data = draw(hnp.arrays(dtype, (C, *spatial),
+                           elements=st.sampled_from(alphabet)))
+    cfg = LutCodecConfig(max_groups_per_table=draw(
+        st.sampled_from([1, 2, 3, 8, 1 << 16])))
+    return data, cfg
+
+
+@given(_lut_inputs())
+@settings(max_examples=150, deadline=None)
+def test_the_lut_encoder_is_the_reference(case):
+    data, cfg = case
+    label = np.zeros(1, dtype=np.int8)
+    got, want = encode_sample(data, cfg), encode_lut_reference(data, cfg)
+    assert container.pack_lut_sample(got, label) == (
+        container.pack_lut_sample(want, label)
+    )
+    assert decode_sample(got).tobytes() == decode_lut_reference(got).tobytes()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fused = _fold_log1p(got)
+    assert decode_sample(fused, dtype=np.float16).tobytes() == (
+        decode_lut_reference(fused, dtype=np.float16).tobytes()
+    )
 
 
 def test_round_trip_within_the_documented_bound(codec):

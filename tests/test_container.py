@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core.encoding import container
 from repro.core.encoding.delta import DeltaCodecConfig, decode_images, encode_image
-from repro.core.encoding.lut import decode_sample, encode_sample
+from repro.core.encoding.lut import (
+    LutCodecConfig,
+    apply_to_tables,
+    decode_sample,
+    encode_sample,
+)
 
 
 def _delta_channels(c=3, h=8, w=32, seed=0):
@@ -97,6 +102,28 @@ class TestLutContainer:
         _, enc2, _, _ = container.unpack_sample(blob)
         assert len(enc2.tables) == len(enc.tables)
         assert np.array_equal(decode_sample(enc2), data)
+
+    def test_decoder_reads_read_only_views_of_the_blob(self):
+        """The LUT branch hands out views of the blob, not copies, even of
+        a writable buffer; a plain and a fused decode leave them read-only
+        and unchanged."""
+        rng = np.random.default_rng(4)
+        data = rng.integers(0, 1000, size=(4, 8, 8, 8)).astype(np.int16)
+        enc = encode_sample(data, LutCodecConfig(max_groups_per_table=150))
+        blob = bytearray(container.pack_lut_sample(enc, np.zeros(4)))
+        _, enc, _, _ = container.unpack_sample(blob)
+        parts = [a for t in enc.tables for a in (t.keys, t.values)]
+        before = [a.tobytes() for a in parts]
+        assert len(enc.tables) > 1
+        assert all(np.shares_memory(a, np.frombuffer(blob, np.uint8))
+                   for a in parts)
+        assert np.array_equal(decode_sample(enc), data)
+        fused = apply_to_tables(enc, np.log1p, out_dtype=np.float16)
+        assert decode_sample(fused).tobytes() == (
+            np.log1p(data).astype(np.float16).tobytes()
+        )
+        assert not any(a.flags.writeable for a in parts)
+        assert [a.tobytes() for a in parts] == before
 
 
 class TestLabelLosslessness:

@@ -571,30 +571,47 @@ class TestExecutorStats:
 
 
 class TestExecutionGrid:
-    """One execution path: whatever plan the loader compiled, whatever
+    """One execution path: whatever plan the loader compiled — the
+    plugin's declaration optimized (the LUT chain folded into an FP16
+    table) or verbatim (int16 gather → ``log1p`` → ``fp16``) — whatever
     the group size and the worker count, an epoch with one corrupt blob
-    is the same epoch — bytes, quarantine, raise position, counters —
-    and closing it early leaves no worker behind."""
+    is the same epoch — bytes, quarantine, raise position, counters — for
+    a DeepCAM and a CosmoFlow blob set, and closing it early leaves no
+    worker behind.  Each cell runs both blob sets under both
+    ``optimize_graph`` settings."""
 
-    PLANS = [None, True]  # legacy two-node plan, the plugin's declared graph
+    PLANS = [None, True]  # the loader's two spellings of the declared graph
+    OPTIMIZE = (True, False)
     BAD = 6
 
     @pytest.fixture(scope="class")
-    def grid_blobs(self):
-        cfg = deepcam.DeepcamConfig(height=12, width=20, n_channels=4)
-        plugin = DeepcamDeltaPlugin("cpu")
-        ds = deepcam.generate_dataset(10, cfg, seed=7)
-        blobs = [plugin.encode(s.data, s.label) for s in ds]
-        blobs[self.BAD] = b"not a container"
-        return plugin, blobs
+    def grid_sets(self):
+        dc_plugin = DeepcamDeltaPlugin("cpu")
+        dc = deepcam.generate_dataset(
+            10, deepcam.DeepcamConfig(height=12, width=20, n_channels=4),
+            seed=7,
+        )
+        cf_plugin = CosmoflowLutPlugin("cpu")
+        cf = cosmoflow.generate_dataset(
+            10, cosmoflow.CosmoflowConfig(grid=8, n_particles=3000), seed=7
+        )
+        sets = {
+            "deepcam": (dc_plugin, [dc_plugin.encode(s.data, s.label)
+                                    for s in dc]),
+            "cosmoflow": (cf_plugin, [cf_plugin.encode(s.data, s.label)
+                                      for s in cf]),
+        }
+        for _, blobs in sets.values():
+            blobs[self.BAD] = b"not a container"
+        return sets
 
     @staticmethod
-    def _loader(grid_blobs, graph, batched, workers, policy):
-        plugin, blobs = grid_blobs
+    def _loader(blob_set, graph, optimize, batched, workers, policy):
+        plugin, blobs = blob_set
         return DataLoader(
             ListSource(blobs), plugin, batch_size=4, seed=2, graph=graph,
-            batched_fetch=batched, num_workers=workers, prefetch_depth=2,
-            bad_sample_policy=policy,
+            optimize_graph=optimize, batched_fetch=batched,
+            num_workers=workers, prefetch_depth=2, bad_sample_policy=policy,
         )
 
     def _epoch(self, *cell):
@@ -614,41 +631,63 @@ class TestExecutionGrid:
             "failed": snap["executor.failed"][0],
         }
 
+    def test_the_lut_plans_are_fused_and_unfused(self, grid_sets):
+        ops = {
+            optimize: [
+                (type(op).__name__, op.name) for op in self._loader(
+                    grid_sets["cosmoflow"], None, optimize, False, 0, "skip"
+                ).plan.ops
+            ]
+            for optimize in self.OPTIMIZE
+        }
+        assert ops[True] == [("ReadOp", "read"), ("DecodeOp", "decode")]
+        assert ops[False] == ops[True] + [
+            ("ElementwiseOp", "log1p"), ("ElementwiseOp", "fp16")
+        ]
+
     @pytest.mark.parametrize("policy", ["raise", "skip", "substitute"])
     @pytest.mark.parametrize("workers", [0, 3])
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("graph", PLANS)
     def test_every_cell_is_the_same_epoch(
-        self, grid_blobs, graph, batched, workers, policy
+        self, grid_sets, graph, batched, workers, policy
     ):
-        reference = self._epoch(grid_blobs, None, False, 0, policy)
-        assert reference["failed"] == 1
-        if policy == "raise":
-            assert reference["raised_at"] == self.BAD
-            assert reference["quarantine"] == []
-        else:
-            assert reference["raised_at"] is None
-            assert reference["quarantine"] == [self.BAD]
-            assert reference["items"] == 9
-        assert self._epoch(grid_blobs, graph, batched, workers, policy) == (
-            reference
-        )
+        for name, blob_set in grid_sets.items():
+            reference = self._epoch(blob_set, None, True, False, 0, policy)
+            assert reference["failed"] == 1, name
+            if policy == "raise":
+                assert reference["raised_at"] == self.BAD, name
+                assert reference["quarantine"] == [], name
+            else:
+                assert reference["raised_at"] is None, name
+                assert reference["quarantine"] == [self.BAD], name
+                assert reference["items"] == 9, name
+            for optimize in self.OPTIMIZE:
+                got = self._epoch(
+                    blob_set, graph, optimize, batched, workers, policy
+                )
+                assert got == reference, (name, optimize)
 
     @pytest.mark.parametrize("workers", [0, 3])
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("graph", PLANS)
     def test_early_close_joins_every_worker(
-        self, grid_blobs, graph, batched, workers
+        self, grid_sets, graph, batched, workers
     ):
         import threading
 
-        before = set(threading.enumerate())
-        loader = self._loader(grid_blobs, graph, batched, workers, "skip")
-        gen = loader.batches(0)
-        next(gen)
-        gen.close()
-        left = [t for t in set(threading.enumerate()) - before if t.is_alive()]
-        assert left == []
+        for blob_set in grid_sets.values():
+            for optimize in self.OPTIMIZE:
+                before = set(threading.enumerate())
+                loader = self._loader(
+                    blob_set, graph, optimize, batched, workers, "skip"
+                )
+                gen = loader.batches(0)
+                next(gen)
+                gen.close()
+                left = [t for t in set(threading.enumerate()) - before
+                        if t.is_alive()]
+                assert left == []
 
 
 class TestLoaderStatsAndReconfigure:
